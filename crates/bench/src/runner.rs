@@ -32,6 +32,10 @@ use std::thread;
 use com_core::{try_run_online, AuditFinding, Instance, MatcherSpec, RunResult};
 use com_obs::RunTelemetry;
 
+/// Run identity lives in `com-core`; re-exported here for the experiment
+/// harness and its existing callers.
+pub use com_core::identity::{canonical_assignment_json, canonical_run_digest, canonical_run_json};
+
 /// A job that panicked inside [`SweepRunner::try_map`]: which cell, and
 /// the panic payload (when it was a string).
 #[derive(Debug, Clone, PartialEq)]
@@ -318,65 +322,6 @@ pub fn merged_telemetry(label: &str, runs: &[RunResult]) -> Option<RunTelemetry>
         return None;
     }
     Some(RunTelemetry::merged(label, &reports))
-}
-
-/// The deterministic projection of a run: everything the matcher decided
-/// (assignments, payments, travel) plus derived revenue metrics,
-/// excluding *all* telemetry — wall-clock measurements vary between
-/// executions, and even deterministic counters only exist when a
-/// collector happens to be installed, so including them would make run
-/// identity depend on the observer (a batch run and a served run of the
-/// same instance/matcher/seed must compare equal even though serving
-/// always collects). Byte-identical across thread counts, runs, and
-/// telemetry configurations.
-pub fn canonical_run_json(run: &RunResult) -> serde_json::Value {
-    let assignments: Vec<serde_json::Value> = run
-        .assignments
-        .iter()
-        .map(canonical_assignment_json)
-        .collect();
-    serde_json::json!({
-        "algorithm": run.algorithm,
-        "assignments": assignments,
-        "total_revenue": run.total_revenue(),
-        "completed": run.completed(),
-        "cooperative": run.cooperative_count(),
-        "acceptance_ratio": run.acceptance_ratio(),
-    })
-}
-
-/// The deterministic projection of one per-request record: everything the
-/// matcher decided, excluding the wall-clock `decision_nanos`. This is
-/// the unit of byte-exact decision comparison used by [`canonical_run_json`]
-/// and by the serving layer's session traces (`matchd --record` /
-/// `matchreplay`).
-pub fn canonical_assignment_json(a: &com_sim::Assignment) -> serde_json::Value {
-    serde_json::json!({
-        "request": a.request.id.0,
-        "platform": a.request.platform.0,
-        "kind": format!("{:?}", a.kind),
-        "worker": a.worker.map(|w| w.0),
-        "worker_platform": a.worker_platform.map(|p| p.0),
-        "outer_payment": a.outer_payment,
-        "was_cooperative_offer": a.was_cooperative_offer,
-        "travel_km": a.travel_km,
-        "decided_at": a.decided_at.as_secs(),
-    })
-}
-
-/// FNV-1a 64-bit digest of the canonical run JSON, rendered as
-/// `"fnv1a64:<16 hex digits>"`. Dependency-free and stable across
-/// platforms; used by session traces to fingerprint the final
-/// [`RunResult`] so a replay can assert it reproduced the whole run, not
-/// just each individual decision.
-pub fn canonical_run_digest(run: &RunResult) -> String {
-    let text = serde_json::to_string(&canonical_run_json(run)).expect("canonical run serializes");
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("fnv1a64:{hash:016x}")
 }
 
 #[cfg(test)]

@@ -503,11 +503,10 @@ mod tests {
         run_online(&instance, &mut StuckOnOne, 1);
     }
 
-    #[test]
-    fn short_runs_capture_mid_run_memory_peaks() {
-        // < 512 events: a burst of simultaneous assignments fills the
-        // re-entry queue mid-run; by the final event every worker has
-        // re-entered, so the true peak is strictly above both endpoints.
+    /// < 512 events: a burst of simultaneous assignments fills the
+    /// re-entry queue mid-run; by the final event every worker has
+    /// re-entered, so the true peak is strictly above both endpoints.
+    fn reentry_burst_instance() -> Instance {
         let p0 = PlatformId(0);
         let ts = Timestamp::from_secs;
         let n = 40u64;
@@ -543,15 +542,20 @@ mod tests {
             .collect();
         let mut config = WorldConfig::city(10.0);
         config.service = ServiceModel::taxi(36.0, 600.0);
-        let inst = Instance {
+        Instance {
             config,
             platform_names: vec!["solo".into()],
             histories: HashMap::new(),
             stream: EventStream::from_specs(workers, requests),
-        };
+        }
+    }
+
+    #[test]
+    fn short_runs_capture_mid_run_memory_peaks() {
+        let inst = reentry_burst_instance();
         let run = run_online(&inst, &mut TotaGreedy, 1);
-        assert_eq!(run.completed(), n as usize);
-        // Mid-run the re-entry queue held `n` timers; at the end it is
+        assert_eq!(run.completed(), 40);
+        // Mid-run the re-entry queue held 40 timers; at the end it is
         // empty again. Before dense sampling the peak collapsed onto the
         // endpoints and this assertion failed.
         assert!(
@@ -560,5 +564,21 @@ mod tests {
             run.peak_memory_bytes,
             run.final_memory_bytes
         );
+    }
+
+    #[test]
+    fn memory_figures_do_not_depend_on_hash_keys() {
+        // Every HashMap in one process draws its own random keys, so
+        // repeating the same run here varies exactly what capacity-based
+        // accounting would leak into the figures.
+        let inst = reentry_burst_instance();
+        let first = run_online(&inst, &mut TotaGreedy, 1);
+        for _ in 0..19 {
+            let again = run_online(&inst, &mut TotaGreedy, 1);
+            assert_eq!(
+                (again.peak_memory_bytes, again.final_memory_bytes),
+                (first.peak_memory_bytes, first.final_memory_bytes),
+            );
+        }
     }
 }

@@ -42,12 +42,16 @@
 //!   re-derives every paper invariant from a finished assignment log,
 //!   independently of the engine's own enforcement, in release builds
 //!   too.
+//! * [`identity`] — run identity: the canonical run JSON and its
+//!   `fnv1a64` digest that batch, served, sharded, federated and replayed
+//!   runs are byte-compared by.
 
 pub mod audit;
 pub mod batched;
 pub mod config;
 pub mod demcom;
 pub mod engine;
+pub mod identity;
 pub mod matcher;
 pub mod offline;
 pub mod outsource;

@@ -34,8 +34,8 @@ use std::fs;
 use std::time::{Duration, Instant};
 
 use com_datagen::{generate, synthetic, SyntheticParams};
-use com_fed::{drive_federated, verify, FedOptions, FedReport, LoopbackPair};
-use com_serve::{ServerConfig, WireFormat};
+use com_fed::{pair_lanes, verify, FedOptions, FedReport, LoopbackPair};
+use com_serve::{drive, ServerConfig, WireFormat};
 
 struct Args {
     quick: bool,
@@ -246,10 +246,13 @@ fn main() {
         }
     };
 
-    let report = drive_federated(&addr_a, &addr_b, &instance, &options).unwrap_or_else(|e| {
-        eprintln!("federated drive failed: {e}");
-        std::process::exit(1)
-    });
+    let report = pair_lanes(&addr_a, &addr_b, &instance, &options)
+        .and_then(|lanes| drive(&lanes, &instance, 1))
+        .map(FedReport::from_drive)
+        .unwrap_or_else(|e| {
+            eprintln!("federated drive failed: {e}");
+            std::process::exit(1)
+        });
     let failures = verify(&instance, &report, &options);
     if let Some(pair) = pair {
         pair.shutdown();

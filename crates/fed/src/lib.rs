@@ -1,6 +1,6 @@
 //! # com-fed
 //!
-//! The federated serving driver: runs one scenario through **two**
+//! Federated serving: runs one scenario through **two**
 //! `matchd` daemons — each owning one platform, joined by the
 //! inter-daemon outsourcing protocol (`outsource_offer` /
 //! `outsource_accept` / `outsource_reject`) — and proves the federated
@@ -21,13 +21,14 @@
 //!
 //! ## The non-owner-first driving rule
 //!
-//! For every request the driver sends the event **first to the daemon
-//! that does not own it**, then to the owner. By the time the owner's
-//! replica decides to outsource and its offer crosses the wire, the
-//! lender has already processed the same event and holds the matching
-//! lendable entry — an offer can never arrive ahead of the event that
-//! justifies it (offer-before-event is a `desync` reject by design).
-//! Lockstep driving (one outstanding event per daemon) also makes the
+//! The pair is driven by `com_serve::drive` over [`pair_lanes`]: one lane
+//! per daemon, at window 1. For every request the driver sends the event
+//! **first to the daemon that does not own it**, then to the owner. By
+//! the time the owner's replica decides to outsource and its offer
+//! crosses the wire, the lender has already processed the same event and
+//! holds the matching lendable entry — an offer can never arrive ahead
+//! of the event that justifies it (offer-before-event is a `desync`
+//! reject by design). Lockstep driving (one outstanding event) also makes the
 //! offer round-trip deadlock-free: while the owner blocks inside its
 //! decision, the lender's shard is idle and answers immediately.
 //!
@@ -42,21 +43,22 @@
 //! [`com_sim::PlatformLedger`] agreeing with locally-derived books; the
 //! server-side audit silent; the projected-instance audit silent; and
 //! zero degraded offers. Any live per-request divergence between the two
-//! daemons' answers is caught while driving, before the byes.
+//! daemons' answers ([`FedReport::from_drive`]) fails it too.
 
 use std::io;
-use std::time::Instant;
 
-use com_bench::runner::{canonical_assignment_json, canonical_run_digest, canonical_run_json};
+use com_core::identity::{
+    canonical_assignment_json, canonical_run_digest, canonical_run_json, canonical_text,
+};
 use com_core::{
     merge_platform_runs, project_platform_instance, project_platform_run, try_run_online,
     MatcherRegistry, RunResult,
 };
 use com_serve::{
-    serve, ByeMsg, Client, ClientMsg, DeepStatsMsg, FedHello, Hello, ServerConfig, ServerHandle,
-    ServerMsg, WireFormat, WorkerMsg, DEFAULT_OFFER_DEADLINE_MS,
+    drive, serve, session_hello, ByeMsg, DeepStatsMsg, DriveReport, FedHello, Lane, ServerConfig,
+    ServerHandle, WireFormat, DEFAULT_OFFER_DEADLINE_MS,
 };
-use com_sim::{ArrivalEvent, Assignment, Instance, PlatformId, PlatformLedger};
+use com_sim::{Instance, PlatformId, PlatformLedger};
 
 /// How to drive the federated pair.
 #[derive(Debug, Clone)]
@@ -121,230 +123,99 @@ impl FedReport {
         }
         self.events as f64 / self.wall_secs
     }
+
+    /// Assemble the report from a drive over [`pair_lanes`]: lane *p* is
+    /// the daemon owning platform *p*, and a request whose two decisions
+    /// differ in [`canonical_assignment_json`] is a live divergence.
+    pub fn from_drive(drive: DriveReport) -> FedReport {
+        let events = drive.events / drive.lanes.len().max(1);
+        let mut divergent_responses = Vec::new();
+        if let [a, b] = &drive.lanes[..] {
+            for (x, y) in a.decisions.iter().zip(&b.decisions) {
+                if canonical_assignment_json(x) != canonical_assignment_json(y) {
+                    let (owner, non_owner) = if x.request.platform == PlatformId(0) {
+                        (x, y)
+                    } else {
+                        (y, x)
+                    };
+                    divergent_responses.push(format!(
+                        "request {}: owner decided {:?} but non-owner decided {:?}",
+                        x.request.id.0, owner.kind, non_owner.kind
+                    ));
+                }
+            }
+        }
+        FedReport {
+            events,
+            wall_secs: drive.wall_secs,
+            divergent_responses,
+            daemons: drive
+                .lanes
+                .into_iter()
+                .zip(0u16..)
+                .map(|(lane, platform)| DaemonReport {
+                    platform,
+                    bye: lane.bye,
+                    deep_stats: lane.deep_stats,
+                })
+                .collect(),
+        }
+    }
 }
 
 fn bad_data(detail: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, detail)
 }
 
-/// The canonical (wall-clock-free) projection of one response, or `None`
-/// for non-decision responses; used to byte-compare the two daemons'
-/// answers to the same request while driving.
-fn response_assignment(msg: &ServerMsg) -> Option<&Assignment> {
-    match msg {
-        ServerMsg::assign(a) | ServerMsg::reject(a) => Some(a),
-        ServerMsg::timeout { assignment, .. } => Some(assignment),
-        _ => None,
-    }
-}
-
-fn open_session(
+/// The lane for the daemon at `addr` (connection `conn`) owning
+/// `platform`. `peer` is whatever the daemon should dial to confirm its
+/// outsourcing offers: the rival daemon, or `None` for lend-only mode,
+/// in which every outer decision on an owned request degrades to a
+/// cooperative reject.
+pub fn fed_lane(
     addr: &str,
-    peer: Option<String>,
+    conn: usize,
     platform: u16,
+    peer: Option<String>,
     instance: &Instance,
     options: &FedOptions,
-) -> io::Result<Client> {
-    let mut client = Client::connect(addr)?;
-    let hello = ClientMsg::hello(Hello {
-        matcher: options.matcher.clone(),
-        seed: options.seed,
-        world: instance.config.clone(),
-        platforms: instance.platform_names.clone(),
-        max_value: instance.max_value(),
-        frame: Some(options.frame.as_str().to_string()),
-        origin: None,
-        fed: Some(FedHello {
-            platform,
-            fed_sid: options.fed_sid,
-            peer,
-            deadline_ms: Some(options.deadline_ms),
-        }),
-    });
-    let (response, _busy) = client.rpc(&hello)?;
-    match response {
-        ServerMsg::welcome { frame, .. } => {
-            let accepted = frame.as_deref().and_then(WireFormat::parse);
-            if options.frame == WireFormat::Binary && accepted == Some(WireFormat::Binary) {
-                client.set_format(WireFormat::Binary);
-            }
-            Ok(client)
-        }
-        ServerMsg::error(e) => Err(bad_data(format!(
-            "hello refused by {addr}: {}: {}",
-            e.code, e.detail
-        ))),
-        other => Err(bad_data(format!("unexpected hello response: {other:?}"))),
-    }
-}
-
-fn expect_ok(response: ServerMsg, what: &str) -> io::Result<()> {
-    match response {
-        ServerMsg::ok => Ok(()),
-        ServerMsg::error(e) => Err(bad_data(format!(
-            "{what} refused: {}: {}",
-            e.code, e.detail
-        ))),
-        other => Err(bad_data(format!("unexpected {what} response: {other:?}"))),
-    }
-}
-
-fn close_session(client: &mut Client) -> io::Result<(Option<DeepStatsMsg>, ByeMsg)> {
-    let (response, _busy) = client.rpc(&ClientMsg::stats_deep)?;
-    let deep = match response {
-        ServerMsg::stats_deep(deep) => Some(*deep),
-        _ => None,
-    };
-    let (response, _busy) = client.rpc(&ClientMsg::shutdown)?;
-    match response {
-        ServerMsg::bye(bye) => Ok((deep, bye)),
-        other => Err(bad_data(format!("unexpected shutdown response: {other:?}"))),
-    }
-}
-
-/// Drive `instance` through ONE federated daemon in lockstep — the
-/// fault-path harness. `peer` is whatever the daemon should dial for
-/// outsourcing confirmation: a rival daemon, an unresponsive socket, or
-/// `None` for lend-only mode. Every outer decision the daemon cannot
-/// confirm degrades to a cooperative reject (which `validate_run` must
-/// stay silent on — the degraded run is still a valid run).
-pub fn drive_single(
-    addr: &str,
-    peer: Option<String>,
-    platform: u16,
-    instance: &Instance,
-    options: &FedOptions,
-) -> io::Result<DaemonReport> {
-    let mut client = open_session(addr, peer, platform, instance, options)?;
-    for event in instance.stream.iter() {
-        match event {
-            ArrivalEvent::Worker(spec) => {
-                let msg = ClientMsg::worker(WorkerMsg {
-                    spec: *spec,
-                    history: instance.histories.get(&spec.id).cloned(),
-                });
-                let (response, _) = client.rpc(&msg)?;
-                expect_ok(response, "worker")?;
-            }
-            ArrivalEvent::Request(spec) => {
-                let (response, _) = client.rpc(&ClientMsg::request(*spec))?;
-                if response_assignment(&response).is_none() {
-                    return Err(bad_data(format!(
-                        "request {}: non-decision response {response:?}",
-                        spec.id.0
-                    )));
-                }
-            }
-        }
-    }
-    let (deep_stats, bye) = close_session(&mut client)?;
-    Ok(DaemonReport {
+) -> Lane {
+    let mut hello = session_hello(instance, &options.matcher, options.seed, options.frame);
+    hello.fed = Some(FedHello {
         platform,
-        bye,
-        deep_stats,
-    })
+        fed_sid: options.fed_sid,
+        peer,
+        deadline_ms: Some(options.deadline_ms),
+    });
+    Lane {
+        addr: addr.to_string(),
+        conn,
+        sid: None,
+        hello,
+    }
 }
 
-/// Drive `instance` through a federated daemon pair in lockstep.
-///
-/// `addr_a` owns platform 0 and `addr_b` platform 1; the two addresses
-/// are also handed to the rival daemon as its peer link, so the pair
-/// negotiates real wire offers in both directions. The instance must
-/// name exactly two platforms.
-pub fn drive_federated(
+/// The two lanes of a federated pair: `addr_a` owns platform 0 and
+/// `addr_b` platform 1, each handed the other as its peer link, so the
+/// pair negotiates real wire offers in both directions. Drive them with
+/// `com_serve::drive` at window 1. The instance must name exactly two
+/// platforms.
+pub fn pair_lanes(
     addr_a: &str,
     addr_b: &str,
     instance: &Instance,
     options: &FedOptions,
-) -> io::Result<FedReport> {
+) -> io::Result<Vec<Lane>> {
     if instance.platform_names.len() != 2 {
         return Err(bad_data(format!(
             "federation needs exactly 2 platforms, instance has {}",
             instance.platform_names.len()
         )));
     }
-    let mut a = open_session(addr_a, Some(addr_b.to_string()), 0, instance, options)?;
-    let mut b = open_session(addr_b, Some(addr_a.to_string()), 1, instance, options)?;
-
-    let started = Instant::now();
-    let mut divergent = Vec::new();
-    for event in instance.stream.iter() {
-        match event {
-            ArrivalEvent::Worker(spec) => {
-                let msg = ClientMsg::worker(WorkerMsg {
-                    spec: *spec,
-                    history: instance.histories.get(&spec.id).cloned(),
-                });
-                let (ra, _) = a.rpc(&msg)?;
-                expect_ok(ra, "worker")?;
-                let (rb, _) = b.rpc(&msg)?;
-                expect_ok(rb, "worker")?;
-            }
-            ArrivalEvent::Request(spec) => {
-                // Non-owner first: the lender's replica must have seen
-                // the request (and recorded the lendable entry) before
-                // the owner's offer can cross the wire.
-                let owner_is_a = spec.platform == PlatformId(0);
-                let (non_owner, owner) = if owner_is_a {
-                    (&mut b, &mut a)
-                } else {
-                    (&mut a, &mut b)
-                };
-                let msg = ClientMsg::request(*spec);
-                let (lend_side, _) = non_owner.rpc(&msg)?;
-                let (own_side, _) = owner.rpc(&msg)?;
-                match (
-                    response_assignment(&lend_side),
-                    response_assignment(&own_side),
-                ) {
-                    (Some(x), Some(y)) => {
-                        if canonical_assignment_json(x) != canonical_assignment_json(y) {
-                            divergent.push(format!(
-                                "request {}: owner decided {:?} but non-owner decided {:?}",
-                                spec.id.0, y.kind, x.kind
-                            ));
-                        }
-                    }
-                    _ => {
-                        return Err(bad_data(format!(
-                            "request {}: non-decision response(s): {lend_side:?} / {own_side:?}",
-                            spec.id.0
-                        )))
-                    }
-                }
-            }
-        }
-    }
-    let wall_secs = started.elapsed().as_secs_f64();
-
-    let (deep_a, bye_a) = close_session(&mut a)?;
-    let (deep_b, bye_b) = close_session(&mut b)?;
-    Ok(FedReport {
-        events: instance.stream.len(),
-        wall_secs,
-        divergent_responses: divergent,
-        daemons: vec![
-            DaemonReport {
-                platform: 0,
-                bye: bye_a,
-                deep_stats: deep_a,
-            },
-            DaemonReport {
-                platform: 1,
-                bye: bye_b,
-                deep_stats: deep_b,
-            },
-        ],
-    })
-}
-
-/// Canonicalize a JSON value for byte comparison: round-trip through
-/// text so a value parsed off the wire and a value built locally compare
-/// through the same representation.
-fn canonical_text(value: &serde_json::Value) -> String {
-    let text = serde_json::to_string(value).expect("canonical value serializes");
-    let parsed: serde_json::Value = serde_json::from_str(&text).expect("round-trip");
-    serde_json::to_string(&parsed).expect("canonical value serializes")
+    Ok(vec![
+        fed_lane(addr_a, 0, 0, Some(addr_b.to_string()), instance, options),
+        fed_lane(addr_b, 1, 1, Some(addr_a.to_string()), instance, options),
+    ])
 }
 
 fn reference_run(instance: &Instance, options: &FedOptions) -> Result<RunResult, String> {
@@ -494,7 +365,8 @@ pub fn run_loopback(
     options: &FedOptions,
 ) -> io::Result<(FedReport, Vec<String>)> {
     let pair = LoopbackPair::start(&ServerConfig::default())?;
-    let report = drive_federated(&pair.addr_a(), &pair.addr_b(), instance, options)?;
+    let lanes = pair_lanes(&pair.addr_a(), &pair.addr_b(), instance, options)?;
+    let report = FedReport::from_drive(drive(&lanes, instance, 1)?);
     let failures = verify(instance, &report, options);
     pair.shutdown();
     Ok((report, failures))

@@ -70,6 +70,10 @@ pub struct GridIndex {
     /// worker who is long gone.
     radius_counts: BTreeMap<u64, u32>,
     len: usize,
+    /// Most ids ever indexed at once. `locations` never shrinks, so this
+    /// is the memory metric's stand-in for its capacity, which after a
+    /// removal depends on the per-process random hash keys.
+    peak_len: usize,
 }
 
 /// Key for `radius_counts`: non-negative finite bits order like the floats
@@ -107,6 +111,7 @@ impl GridIndex {
             max_radius: 0.0,
             radius_counts: BTreeMap::new(),
             len: 0,
+            peak_len: 0,
         }
     }
 
@@ -166,6 +171,7 @@ impl GridIndex {
         *self.radius_counts.entry(radius_key(radius)).or_insert(0) += 1;
         self.max_radius = self.max_radius.max(radius);
         self.len += 1;
+        self.peak_len = self.peak_len.max(self.len);
     }
 
     /// Remove an item by id. Returns the entry if it was present.
@@ -336,7 +342,7 @@ impl GridIndex {
             .sum();
         cells
             + self.cells.capacity() * size_of::<Vec<GridEntry>>()
-            + self.locations.capacity() * (size_of::<u64>() + size_of::<usize>() + 16)
+            + self.peak_len * (size_of::<u64>() + size_of::<usize>() + 16)
             + self.radius_counts.len() * (size_of::<u64>() + size_of::<u32>() + 16)
     }
 }

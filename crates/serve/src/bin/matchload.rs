@@ -4,17 +4,18 @@
 //! cargo run -p com-serve --release --bin matchload -- \
 //!     --addr HOST:PORT \
 //!     [--profile chengdu-oct|chengdu-nov|xian-nov|synthetic | --config FILE] \
-//!     [--quick] [--full-scale] [--matcher SPEC] [--seed N] [--rate HZ] \
+//!     [--quick] [--full-scale] [--matcher SPEC] [--seed N] \
 //!     [--frame ndjson|binary] [--window N] \
 //!     [--connections M] [--sessions K] \
 //!     [--json FILE] [--baseline FILE] [--strict]
 //! ```
 //!
-//! Streams a `com-datagen` scenario through a live matchd and reports
-//! throughput and request round-trip latency (p50/p95/p99). Before
-//! shutdown it asks the server for `stats_deep` and prints the serving
-//! phase table (decode/ingest/decision/encode/flush latencies, queue
-//! high-water, busy-drops) plus — against a sharded server — the
+//! Streams a `com-datagen` scenario through K sessions of a live matchd
+//! with `com_serve::drive` and reports throughput and request round-trip
+//! latency (p50/p95/p99; measured from the flush that wrote each request).
+//! Before shutdown it asks the server for `stats_deep` and prints the
+//! serving phase table (decode/ingest/decision/encode/flush latencies,
+//! queue high-water, busy-drops) plus — against a sharded server — the
 //! per-shard rows; the same tables land in the `--json` report as
 //! `server_phases` and `server_shards`.
 //!
@@ -22,19 +23,19 @@
 //!   regardless of profile; what CI's serve-smoke job runs.
 //! * `--full-scale` — the full-scale city scenario (4000 requests, 1200
 //!   workers — 10× quick); the paper-scale serving experiment.
-//! * `--rate` — target event rate in events/s (default 0 = full speed).
 //! * `--frame` — wire framing to negotiate in `hello` (default
 //!   `ndjson`); `binary` switches to length-prefixed frames after the
 //!   server's `welcome` confirms.
-//! * `--window` — max messages in flight per connection (default 1 =
-//!   strict lockstep). Larger windows pipeline sends in batched writes;
-//!   the served outcome is identical, only transport overlap changes.
+//! * `--window` — max messages in flight across all sessions (default 1
+//!   = strict lockstep). Larger windows pipeline sends in batched
+//!   writes; the served outcome is identical, only transport overlap
+//!   changes.
 //! * `--connections` / `--sessions` — drive K logical sessions
 //!   multiplexed over M connections (session `sid` rides connection
-//!   `sid % M`, with seed `--seed + sid`). Either flag above 1 switches
-//!   to the mux driver; the default (1/1) is the original bare-session
-//!   lockstep client.
-//! * `--json` — write the report (the `BENCH_serve.json` format).
+//!   `sid % M`, with seed `--seed + sid`; K is raised to M). The default
+//!   (1/1) is one bare session, the legacy un-enveloped wire path.
+//! * `--json` — write the report: run settings, throughput, latency, one
+//!   `per_session` entry per session, and the server tables.
 //! * `--baseline FILE` — embed a previously written `--json` report
 //!   under `"baseline"` in this run's report, so one file carries a
 //!   before/after phase-table comparison.
@@ -46,14 +47,12 @@
 
 use std::fs;
 
-use com_bench::runner::{canonical_run_digest, canonical_run_json};
+use com_core::identity::{canonical_run_digest, canonical_run_json, canonical_text};
 use com_core::{try_run_online, MatcherRegistry};
 use com_datagen::{
     chengdu_nov, chengdu_oct, generate, synthetic, xian_nov, ScenarioConfig, SyntheticParams,
 };
-use com_serve::{
-    drive_multi, replay_scenario, DeepStatsMsg, MultiOptions, ReplayOptions, ShardRow, WireFormat,
-};
+use com_serve::{drive, DeepStatsMsg, DriveOptions, ShardRow, WireFormat};
 
 struct Args {
     addr: String,
@@ -63,7 +62,6 @@ struct Args {
     full_scale: bool,
     matcher: String,
     seed: u64,
-    rate_hz: f64,
     frame: WireFormat,
     window: usize,
     connections: usize,
@@ -76,7 +74,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: matchload --addr HOST:PORT [--profile NAME | --config FILE] \
-         [--quick] [--full-scale] [--matcher SPEC] [--seed N] [--rate HZ] \
+         [--quick] [--full-scale] [--matcher SPEC] [--seed N] \
          [--frame ndjson|binary] [--window N] [--connections M] \
          [--sessions K] [--json FILE] [--baseline FILE] [--strict]"
     );
@@ -92,7 +90,6 @@ fn parse_args() -> Args {
         full_scale: false,
         matcher: "demcom".into(),
         seed: 42,
-        rate_hz: 0.0,
         frame: WireFormat::Ndjson,
         window: 1,
         connections: 1,
@@ -119,12 +116,6 @@ fn parse_args() -> Args {
             "--seed" => {
                 args.seed = next("--seed").parse().unwrap_or_else(|_| {
                     eprintln!("--seed must be an integer");
-                    usage()
-                })
-            }
-            "--rate" => {
-                args.rate_hz = next("--rate").parse().unwrap_or_else(|_| {
-                    eprintln!("--rate must be a number (events/s, 0 = full speed)");
                     usage()
                 })
             }
@@ -278,8 +269,8 @@ fn scenario_name(args: &Args) -> String {
     }
 }
 
-/// Local batch ground truth for one session seed: canonical run JSON
-/// (normalised through the parser) and the finish digest.
+/// Local batch ground truth for one session seed: canonical run text and
+/// the finish digest.
 fn local_truth(instance: &com_sim::Instance, matcher_spec: &str, seed: u64) -> (String, String) {
     let registry = MatcherRegistry::builtin();
     let factory = registry.resolve(matcher_spec).unwrap_or_else(|e| {
@@ -288,50 +279,47 @@ fn local_truth(instance: &com_sim::Instance, matcher_spec: &str, seed: u64) -> (
     });
     let mut matcher = factory();
     let batch = try_run_online(instance, matcher.as_mut(), seed);
-    let local = serde_json::to_string(&canonical_run_json(&batch)).expect("serialise");
-    // Round-trip through the parser so both sides use the identical
-    // value representation before comparing.
-    let local: serde_json::Value = serde_json::from_str(&local).expect("round-trip");
     (
-        serde_json::to_string(&local).expect("serialise"),
+        canonical_text(&canonical_run_json(&batch)),
         canonical_run_digest(&batch),
     )
 }
 
-/// The multi-connection mux driver (`--connections` / `--sessions`).
-fn run_multi(args: &Args, instance: &com_sim::Instance) {
-    let options = MultiOptions {
+fn run(args: &Args, instance: &com_sim::Instance) {
+    let options = DriveOptions {
         matcher: args.matcher.clone(),
-        base_seed: args.seed,
-        connections: args.connections,
-        sessions: args.sessions.max(args.connections),
+        seed: args.seed,
         frame: args.frame,
         window: args.window,
-        rate_hz: args.rate_hz,
+        connections: args.connections,
+        sessions: args.sessions,
     };
+    let lanes = options.lanes(&args.addr, instance);
+    let connections = args.connections.min(lanes.len());
     println!(
-        "matchload: {} events x {} sessions over {} connections -> {} \
-         [{}, base seed {}, frame {}, window {}]",
+        "matchload: {} events ({} requests, {} workers) x {} sessions over {} connections \
+         -> {} [{}, seed {}, frame {}, window {}]",
         instance.stream.len(),
-        options.sessions,
-        options.connections,
+        instance.request_count(),
+        instance.worker_count(),
+        lanes.len(),
+        connections,
         args.addr,
         args.matcher,
         args.seed,
         args.frame,
         args.window,
     );
-    let report = drive_multi(&args.addr, instance, &options).unwrap_or_else(|e| {
-        eprintln!("matchload: multi replay failed: {e}");
+    let report = drive(&lanes, instance, options.window).unwrap_or_else(|e| {
+        eprintln!("matchload: replay failed: {e}");
         std::process::exit(1)
     });
 
     let h = &report.request_rtt_ns;
     println!(
-        "served {} events across {} sessions in {:.2}s — {:.0} events/s \
-         aggregate, {} busy",
+        "served {} events across {} sessions in {:.2}s — {:.0} events/s, {} busy",
         report.events,
-        report.sessions.len(),
+        report.lanes.len(),
         report.wall_secs,
         report.events_per_sec(),
         report.busy,
@@ -343,24 +331,27 @@ fn run_multi(args: &Args, instance: &com_sim::Instance) {
         us(h.p99()),
         h.mean() / 1e3,
     );
-    for s in &report.sessions {
+    for (k, s) in report.lanes.iter().enumerate() {
         println!(
-            "  session {} (conn {}, seed {}): {} assigned, {} rejected, \
-             {} timed out, revenue {:.1}, {} audit findings",
-            s.sid,
-            s.connection,
+            "  session {k} (conn {}, seed {}): {} assigned, {} rejected, {} timed out, \
+             revenue {:.1}, cooperative {}, {} audit findings",
+            s.conn,
             s.seed,
             s.assigned,
             s.rejected,
             s.refused,
             s.bye.revenue,
+            s.bye.cooperative,
             s.bye.audit_findings.len(),
         );
         for finding in &s.bye.audit_findings {
             eprintln!("    audit: {finding}");
         }
     }
-    if let Some(deep) = &report.deep_stats {
+    // The first session's snapshot: its phase table, plus the sharded
+    // server's per-shard rows.
+    let deep = report.lanes[0].deep_stats.as_ref();
+    if let Some(deep) = deep {
         if !deep.shards.is_empty() {
             print_shard_table(&deep.shards);
         }
@@ -373,12 +364,12 @@ fn run_multi(args: &Args, instance: &com_sim::Instance) {
             .unwrap_or(1);
         let baseline = args.baseline.as_ref().map(|p| read_baseline(p));
         let per_session: Vec<serde_json::Value> = report
-            .sessions
+            .lanes
             .iter()
             .map(|s| {
                 serde_json::json!({
                     "sid": s.sid,
-                    "connection": s.connection,
+                    "connection": s.conn,
                     "seed": s.seed,
                     "assigned": s.assigned,
                     "rejected": s.rejected,
@@ -391,15 +382,13 @@ fn run_multi(args: &Args, instance: &com_sim::Instance) {
             .collect();
         let json = serde_json::json!({
             "scenario": scenario_name(args),
-            "mode": "multi",
             "matcher": args.matcher,
             "base_seed": args.seed,
-            "connections": options.connections,
-            "sessions": options.sessions,
+            "connections": connections,
+            "sessions": report.lanes.len(),
             "requests": instance.request_count(),
             "workers": instance.worker_count(),
             "events": report.events,
-            "rate_hz": args.rate_hz,
             "frame": args.frame.as_str(),
             "window": args.window,
             "wall_secs": report.wall_secs,
@@ -411,22 +400,26 @@ fn run_multi(args: &Args, instance: &com_sim::Instance) {
                 "mean": h.mean() / 1e3,
             }),
             "busy": report.busy,
+            "busy_dropped": deep.map(|d| d.busy_dropped),
+            "queue_high_water": deep.map(|d| d.queue_high_water),
             "per_session": per_session,
-            "server_shards": report
-                .deep_stats
-                .as_ref()
+            "server_shards": deep
                 .map(|d| serde_json::to_value(&d.shards).expect("serialise shards"))
                 .unwrap_or_else(|| serde_json::Value::array(Vec::new())),
-            "server_phases": report
-                .deep_stats
-                .as_ref()
+            "server_phases": deep
                 .map(|d| serde_json::to_value(&d.phases).expect("serialise phases"))
                 .unwrap_or_else(|| serde_json::Value::array(Vec::new())),
             "host_cores": cores,
-            "note": "multi-session mux driver over loopback; every session \
-                     replays the same instance with seed base+sid; client and \
-                     server share the listed cores, so throughput is a \
-                     protocol-overhead floor, not a capacity ceiling",
+            "note": "one single-threaded client over loopback; every session \
+                     replays the same instance with seed base+sid; window 1 = \
+                     synchronous request-response, window > 1 pipelines with \
+                     batched writes; latency runs from the flush that wrote a \
+                     request to its response and includes both protocol ends \
+                     plus the decision itself; client and server share the \
+                     listed cores, so throughput is a protocol-overhead floor, \
+                     not a capacity ceiling",
+            // The before-run report (`--baseline`), or null: one file
+            // carries the before/after comparison.
             "baseline": baseline,
         });
         write_json(path, &json);
@@ -437,26 +430,29 @@ fn run_multi(args: &Args, instance: &com_sim::Instance) {
         if report.busy > 0 {
             failures.push(format!("{} busy (dropped message) event(s)", report.busy));
         }
-        for s in &report.sessions {
+        // The ground truth: each session's instance, matcher, and seed
+        // through the local batch engine must match the served run byte
+        // for byte in the canonical projection.
+        for (k, s) in report.lanes.iter().enumerate() {
             if !s.bye.audit_findings.is_empty() {
                 failures.push(format!(
-                    "session {}: {} audit finding(s)",
-                    s.sid,
+                    "session {k}: {} audit finding(s)",
                     s.bye.audit_findings.len()
                 ));
             }
             let (local, digest) = local_truth(instance, &args.matcher, s.seed);
-            let served = serde_json::to_string(&s.bye.canonical).expect("serialise");
+            let served = canonical_text(&s.bye.canonical);
             if local != served {
                 failures.push(format!(
-                    "session {}: served canonical run differs from local batch run",
-                    s.sid
+                    "session {k}: served canonical run differs from local batch run"
                 ));
+                eprintln!("local:  {local}");
+                eprintln!("served: {served}");
             }
             if !s.bye.digest.is_empty() && s.bye.digest != digest {
                 failures.push(format!(
-                    "session {}: served digest {} != local {digest}",
-                    s.sid, s.bye.digest
+                    "session {k}: served digest {} != local {digest}",
+                    s.bye.digest
                 ));
             }
         }
@@ -467,7 +463,7 @@ fn run_multi(args: &Args, instance: &com_sim::Instance) {
         println!(
             "strict: all {} served sessions match their local batch runs exactly \
              (canonical JSON and digest); audit clean",
-            report.sessions.len()
+            report.lanes.len()
         );
     }
 }
@@ -499,147 +495,5 @@ fn main() {
     let args = parse_args();
     let scenario = load_scenario(&args);
     let instance = generate(&scenario);
-    if args.connections > 1 || args.sessions > 1 {
-        run_multi(&args, &instance);
-        return;
-    }
-    println!(
-        "matchload: {} events ({} requests, {} workers) -> {} [{}, seed {}, \
-         frame {}, window {}]",
-        instance.stream.len(),
-        instance.request_count(),
-        instance.worker_count(),
-        args.addr,
-        args.matcher,
-        args.seed,
-        args.frame,
-        args.window,
-    );
-
-    let options = ReplayOptions {
-        matcher: args.matcher.clone(),
-        seed: args.seed,
-        rate_hz: args.rate_hz,
-        frame: args.frame,
-        window: args.window,
-    };
-    let report = replay_scenario(&args.addr, &instance, &options).unwrap_or_else(|e| {
-        eprintln!("matchload: replay failed: {e}");
-        std::process::exit(1)
-    });
-
-    let h = &report.request_rtt_ns;
-    println!(
-        "served {} requests ({} assigned, {} rejected, {} timed out) in {:.2}s \
-         — {:.0} events/s, {} busy",
-        instance.request_count(),
-        report.assigned,
-        report.rejected,
-        report.refused,
-        report.wall_secs,
-        report.events_per_sec(),
-        report.busy,
-    );
-    println!(
-        "request rtt: p50 {:.1}us  p95 {:.1}us  p99 {:.1}us  mean {:.1}us",
-        us(h.p50()),
-        us(h.quantile(0.95)),
-        us(h.p99()),
-        h.mean() / 1e3,
-    );
-    println!(
-        "server: revenue {:.1}, completed {}, cooperative {}, refused {}, \
-         audit findings {}",
-        report.bye.revenue,
-        report.bye.completed,
-        report.bye.cooperative,
-        report.bye.refused,
-        report.bye.audit_findings.len(),
-    );
-    for finding in &report.bye.audit_findings {
-        eprintln!("  audit: {finding}");
-    }
-    if let Some(deep) = &report.deep_stats {
-        print_phase_table(deep);
-    }
-
-    if let Some(path) = &args.json_out {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let baseline = args.baseline.as_ref().map(|p| read_baseline(p));
-        let json = serde_json::json!({
-            "scenario": scenario_name(&args),
-            "matcher": args.matcher,
-            "seed": args.seed,
-            "requests": instance.request_count(),
-            "workers": instance.worker_count(),
-            "events": report.events,
-            "rate_hz": args.rate_hz,
-            "frame": args.frame.as_str(),
-            "window": args.window,
-            "wall_secs": report.wall_secs,
-            "events_per_sec": report.events_per_sec(),
-            "latency_us": serde_json::json!({
-                "p50": us(h.p50()),
-                "p95": us(h.quantile(0.95)),
-                "p99": us(h.p99()),
-                "mean": h.mean() / 1e3,
-            }),
-            "busy": report.busy,
-            "audit_findings": report.bye.audit_findings.len(),
-            "busy_dropped": report.deep_stats.as_ref().map(|d| d.busy_dropped).unwrap_or(report.busy),
-            "refused": report.refused,
-            "queue_high_water": report.deep_stats.as_ref().map(|d| d.queue_high_water).unwrap_or(0),
-            "server_phases": report
-                .deep_stats
-                .as_ref()
-                .map(|d| serde_json::to_value(&d.phases).expect("serialise phases"))
-                .unwrap_or_else(|| serde_json::Value::array(Vec::new())),
-            "host_cores": cores,
-            "note": "single connection over loopback; window 1 = synchronous \
-                     request-response, window > 1 pipelines with batched writes; \
-                     latency includes both protocol ends plus the decision itself; \
-                     client and server share the listed cores, so throughput is a \
-                     protocol-overhead floor, not a capacity ceiling",
-            // The before-run report (`--baseline`), or null: one file
-            // carries the before/after comparison.
-            "baseline": baseline,
-        });
-        write_json(path, &json);
-    }
-
-    if args.strict {
-        let mut failures = Vec::new();
-        if !report.bye.audit_findings.is_empty() {
-            failures.push(format!(
-                "{} audit finding(s)",
-                report.bye.audit_findings.len()
-            ));
-        }
-        if report.busy > 0 {
-            failures.push(format!("{} busy (dropped line) event(s)", report.busy));
-        }
-        // The ground truth: the same instance, matcher, and seed through
-        // the local batch engine must match the served run byte for byte
-        // in the canonical projection.
-        let (local, digest) = local_truth(&instance, &args.matcher, args.seed);
-        let served = serde_json::to_string(&report.bye.canonical).expect("serialise");
-        if local != served {
-            failures.push("served canonical run differs from local batch run".into());
-            eprintln!("local:  {local}");
-            eprintln!("served: {served}");
-        }
-        if !report.bye.digest.is_empty() && report.bye.digest != digest {
-            failures.push(format!(
-                "served digest {} != local {digest}",
-                report.bye.digest
-            ));
-        }
-        if !failures.is_empty() {
-            eprintln!("matchload: --strict failed: {}", failures.join("; "));
-            std::process::exit(1);
-        }
-        println!("strict: served run matches the local batch run exactly; audit clean");
-    }
+    run(&args, &instance);
 }

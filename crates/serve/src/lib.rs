@@ -20,9 +20,9 @@
 //! * [`shard`] — the shared-nothing shard executors that own the logical
 //!   sessions, plus the deterministic session→shard [`Placement`] rules
 //!   (stable hash, or `com-geo` grid cells).
-//! * [`client`] — the protocol client, the lockstep scenario [`replay`]
-//!   loop, and the multi-connection mux driver ([`loadgen`]) behind the
-//!   `matchload` binary.
+//! * [`client`] — the protocol client and [`drive`], the one scenario
+//!   driver over *lanes* (a connection, an optional mux sid and its
+//!   `hello`) behind `matchload`, `matchfed` and the loopback tests.
 //! * [`trace`] — the flight-recorder session trace (schema v1): one JSONL
 //!   file per recorded session, written by `matchd --record`.
 //! * [`replay`] — deterministic trace re-execution behind the
@@ -35,7 +35,6 @@
 pub mod client;
 pub mod fed;
 pub mod framing;
-pub mod loadgen;
 pub mod protocol;
 pub mod replay;
 pub mod server;
@@ -43,13 +42,12 @@ pub mod session;
 pub mod shard;
 pub mod trace;
 
-pub use client::{replay_scenario, Client, ReplayOptions, ReplayReport};
+pub use client::{drive, session_hello, Client, DriveOptions, DriveReport, Lane, LaneOutcome};
 pub use fed::{FedShared, WireOutsource, DEFAULT_OFFER_DEADLINE_MS};
 pub use framing::{
     decode_msg, decode_payload, encode_frame, write_frame, FrameError, WireFormat, FRAME_MAGIC,
     MAX_FRAME_PAYLOAD, MAX_LINE_BYTES,
 };
-pub use loadgen::{drive_multi, MultiOptions, MultiReport, SessionOutcome};
 pub use protocol::{
     client_frame_from_content, decode_client, decode_client_frame, decode_server,
     decode_server_frame, encode, server_frame_from_content, ByeMsg, ClientFrame, ClientMsg,

@@ -399,7 +399,7 @@ pub struct ByeMsg {
     pub refused: u64,
     pub audit_findings: Vec<String>,
     pub canonical: serde_json::Value,
-    /// `com_bench::runner::canonical_run_digest` over `canonical`: a
+    /// `com_core::identity::canonical_run_digest` over `canonical`: a
     /// compact fingerprint matching the trace `finish` line, so a client
     /// can check run identity without re-serializing the projection.
     /// `#[serde(default)]` (empty) when talking to a pre-shard server.
@@ -626,9 +626,18 @@ pub fn decode_client_frame(line: &str) -> Result<ClientFrame, DecodeError> {
 
 /// Parse one server line, mux envelope or bare.
 pub fn decode_server_frame(line: &str) -> Result<ServerFrame, DecodeError> {
-    let value: serde_json::Value =
-        serde_json::from_str(line).map_err(|e| DecodeError::BadJson(e.to_string()))?;
-    server_frame_from_content(&value.to_content())
+    // Split the freshly parsed tree in place rather than through an
+    // intermediate `Value`, which would copy it: this is the client's
+    // per-response read path.
+    struct Split(Result<ServerFrame, DecodeError>);
+    impl Deserialize for Split {
+        fn from_content(c: &Content) -> Result<Self, serde::de::Error> {
+            Ok(Split(server_frame_from_content(c)))
+        }
+    }
+    serde_json::from_str::<Split>(line)
+        .map_err(|e| DecodeError::BadJson(e.to_string()))?
+        .0
 }
 
 #[cfg(test)]

@@ -40,6 +40,9 @@ use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
+// Placement must hash identically across runs and builds, which rules
+// out `std`'s randomized hasher.
+use com_core::identity::fnv1a64;
 use com_obs::Histogram;
 
 use crate::framing::WireFormat;
@@ -47,18 +50,6 @@ use crate::protocol::{ClientMsg, ErrorMsg, Hello, ServerMsg, ShardRow};
 use crate::server::{ConnCtx, QueueStats, ServerConfig, ServerCounters, SharedWriter};
 use crate::session::ServeSession;
 use crate::trace::{sanitize_spec, TraceRecorder};
-
-/// 64-bit FNV-1a — the same stable, dependency-free hash the canonical
-/// run digest uses. Placement must hash identically across runs and
-/// builds, which rules out `std`'s randomized hasher.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1_0000_01b3);
-    }
-    hash
-}
 
 /// How sessions are assigned to shards. Deterministic by construction:
 /// both modes are pure functions of the session's own key.

@@ -30,6 +30,9 @@ pub struct IdleWorker {
 pub struct WaitingList {
     index: GridIndex,
     entries: HashMap<WorkerId, IdleWorker>,
+    /// Most workers ever idle at once: the memory metric's stand-in for
+    /// `entries`' capacity (see `GridIndex::approx_bytes`).
+    peak_len: usize,
     metric: DistanceMetric,
 }
 
@@ -47,6 +50,7 @@ impl WaitingList {
         WaitingList {
             index: GridIndex::with_expected_radius(extent, expected_radius),
             entries: HashMap::new(),
+            peak_len: 0,
             metric,
         }
     }
@@ -80,6 +84,7 @@ impl WaitingList {
         self.index
             .insert(worker.id.as_u64(), worker.location, worker.radius);
         self.entries.insert(worker.id, worker);
+        self.peak_len = self.peak_len.max(self.entries.len());
     }
 
     /// Remove a worker (assignment or departure). Returns the entry if it
@@ -169,7 +174,7 @@ impl WaitingList {
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         self.index.approx_bytes()
-            + self.entries.capacity() * (size_of::<WorkerId>() + size_of::<IdleWorker>() + 16)
+            + self.peak_len * (size_of::<WorkerId>() + size_of::<IdleWorker>() + 16)
     }
 }
 

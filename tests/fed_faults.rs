@@ -12,9 +12,10 @@ use std::time::{Duration, Instant};
 
 use com_core::{try_run_online, MatcherRegistry};
 use com_datagen::{generate, synthetic, SyntheticParams};
-use com_fed::{drive_single, FedOptions};
+use com_fed::{fed_lane, FedOptions};
 use com_serve::{
-    serve, Client, ClientMsg, FedHello, Hello, OfferMsg, ServerConfig, ServerMsg, WireFormat,
+    drive, serve, Client, ClientMsg, FedHello, Hello, LaneOutcome, OfferMsg, ServerConfig,
+    ServerMsg, WireFormat,
 };
 use com_sim::{Instance, MatchKind, PlatformId, RequestId, RequestSpec, Timestamp, WorkerId};
 
@@ -43,11 +44,24 @@ fn assert_fixture_outsources(instance: &Instance, options: &FedOptions) {
     );
 }
 
+/// Drive `instance` through ONE federated daemon owning platform 0, in
+/// lockstep: `peer` is whatever it should dial to confirm its offers.
+fn drive_alone(
+    addr: &str,
+    peer: Option<String>,
+    instance: &Instance,
+    options: &FedOptions,
+) -> LaneOutcome {
+    let lane = fed_lane(addr, 0, 0, peer, instance, options);
+    let mut report = drive(&[lane], instance, 1).expect("drive");
+    report.lanes.remove(0)
+}
+
 /// Degradation happened, nothing was confirmed, and the finished run
 /// still passes the full audit. Returns the federation counters for
 /// fault-specific assertions.
 fn assert_degraded_but_audit_silent(
-    report: &com_fed::DaemonReport,
+    report: &LaneOutcome,
     instance: &Instance,
 ) -> com_serve::FedStatsMsg {
     assert_eq!(
@@ -79,14 +93,12 @@ fn no_peer_link_degrades_every_offer_and_audits_silent() {
     };
     assert_fixture_outsources(&instance, &options);
     let handle = serve(ServerConfig::default()).expect("bind");
-    let report = drive_single(
+    let report = drive_alone(
         &handle.addr().to_string(),
         None, // lend-only: no peer to dial
-        0,
         &instance,
         &options,
-    )
-    .expect("drive");
+    );
     assert_degraded_but_audit_silent(&report, &instance);
     handle.shutdown();
 }
@@ -123,14 +135,12 @@ fn unresponsive_peer_times_out_mid_offer_and_audits_silent() {
 
     let handle = serve(ServerConfig::default()).expect("bind");
     let started = Instant::now();
-    let report = drive_single(
+    let report = drive_alone(
         &handle.addr().to_string(),
         Some(peer_addr),
-        0,
         &instance,
         &options,
-    )
-    .expect("drive");
+    );
     let stats = assert_degraded_but_audit_silent(&report, &instance);
     assert_eq!(stats.offers_timed_out, stats.offers_sent);
     // Each degraded offer waited its deadline, nothing hung past it.
@@ -176,14 +186,12 @@ fn peer_dropping_every_connection_mid_negotiation_degrades_fast() {
     };
 
     let handle = serve(ServerConfig::default()).expect("bind");
-    let report = drive_single(
+    let report = drive_alone(
         &handle.addr().to_string(),
         Some(peer_addr),
-        0,
         &instance,
         &options,
-    )
-    .expect("drive");
+    );
     let stats = assert_degraded_but_audit_silent(&report, &instance);
     // Every offer burned its one idempotent retry on the second dead
     // link before degrading.

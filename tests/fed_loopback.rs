@@ -3,11 +3,11 @@
 //! byte-identical — canonical run, digest, ledgers — to a single-process
 //! batch run over the same instance and seed, in both wire framings.
 
-use com_bench::runner::canonical_run_json;
+use com_core::identity::canonical_run_json;
 use com_core::{try_run_online, MatcherRegistry};
 use com_datagen::{generate, synthetic, SyntheticParams};
-use com_fed::{drive_federated, run_loopback, verify, FedOptions, LoopbackPair};
-use com_serve::{ServerConfig, WireFormat};
+use com_fed::{pair_lanes, run_loopback, verify, FedOptions, FedReport, LoopbackPair};
+use com_serve::{drive, ServerConfig, WireFormat};
 use com_sim::{Instance, MatchKind};
 
 fn quick_instance() -> Instance {
@@ -116,8 +116,8 @@ fn verify_catches_a_wrong_seed_reference() {
         ..FedOptions::default()
     };
     let pair = LoopbackPair::start(&ServerConfig::default()).expect("bind");
-    let report =
-        drive_federated(&pair.addr_a(), &pair.addr_b(), &instance, &options).expect("drive");
+    let lanes = pair_lanes(&pair.addr_a(), &pair.addr_b(), &instance, &options).expect("lanes");
+    let report = FedReport::from_drive(drive(&lanes, &instance, 1).expect("drive"));
     // Same drive verified against a different-seed reference must fail:
     // the check is not vacuous.
     let skewed = FedOptions {

@@ -4,16 +4,15 @@
 //! and a pipelined binary loopback run is byte-identical — canonical
 //! JSON and all — to both the NDJSON run and the batch engine.
 
-use com_bench::runner::canonical_run_json;
+use com_core::identity::{canonical_run_json, canonical_text};
 use com_core::{try_run_online, MatcherRegistry};
 use com_datagen::{generate, synthetic, SyntheticParams};
 use com_geo::Point;
 use com_pricing::WorkerHistory;
 use com_serve::{
-    decode_msg, decode_payload, encode, encode_frame, replay_scenario, serve, ByeMsg, Client,
-    ClientMsg, CounterRow, DeepStatsMsg, ErrorMsg, GaugeRow, Hello, PhaseRow, ReplayOptions,
-    ServerConfig, ServerMsg, ShardRow, StatsMsg, WireFormat, WorkerMsg, FRAME_MAGIC,
-    MAX_FRAME_PAYLOAD,
+    decode_msg, decode_payload, drive, encode, encode_frame, serve, ByeMsg, Client, ClientMsg,
+    CounterRow, DeepStatsMsg, DriveOptions, ErrorMsg, GaugeRow, Hello, PhaseRow, ServerConfig,
+    ServerMsg, ShardRow, StatsMsg, WireFormat, WorkerMsg, FRAME_MAGIC, MAX_FRAME_PAYLOAD,
 };
 use com_sim::{
     Assignment, Instance, MatchKind, PlatformId, RequestId, RequestSpec, Timestamp, WorkerId,
@@ -28,14 +27,6 @@ fn quick_instance() -> Instance {
         n_workers: 60,
         ..SyntheticParams::default()
     }))
-}
-
-/// Round-trip a canonical value through text so both comparison sides use
-/// the parsed representation.
-fn canonical_text(value: &serde_json::Value) -> String {
-    let text = serde_json::to_string(value).expect("serialise");
-    let parsed: serde_json::Value = serde_json::from_str(&text).expect("round-trip");
-    serde_json::to_string(&parsed).expect("serialise")
 }
 
 fn request_spec() -> RequestSpec {
@@ -476,39 +467,42 @@ fn binary_pipelined_run_is_byte_identical_to_ndjson_and_batch() {
     let handle = serve(ServerConfig::default()).expect("bind ephemeral port");
     let addr = handle.addr().to_string();
 
-    let ndjson = replay_scenario(
-        &addr,
+    let ndjson_options = DriveOptions {
+        matcher: "ramcom".into(),
+        seed: 13,
+        ..DriveOptions::default()
+    };
+    let ndjson = drive(
+        &ndjson_options.lanes(&addr, &instance),
         &instance,
-        &ReplayOptions {
-            matcher: "ramcom".into(),
-            seed: 13,
-            ..ReplayOptions::default()
-        },
+        ndjson_options.window,
     )
     .expect("ndjson replay");
 
-    let binary = replay_scenario(
-        &addr,
+    let binary_options = DriveOptions {
+        matcher: "ramcom".into(),
+        seed: 13,
+        frame: WireFormat::Binary,
+        window: 64,
+        ..DriveOptions::default()
+    };
+    let binary = drive(
+        &binary_options.lanes(&addr, &instance),
         &instance,
-        &ReplayOptions {
-            matcher: "ramcom".into(),
-            seed: 13,
-            frame: WireFormat::Binary,
-            window: 64,
-            ..ReplayOptions::default()
-        },
+        binary_options.window,
     )
     .expect("binary replay");
 
     // Both served runs are clean…
     for report in [&ndjson, &binary] {
-        assert_eq!(report.bye.audit_findings, Vec::<String>::new());
+        assert_eq!(report.lanes[0].bye.audit_findings, Vec::<String>::new());
         assert_eq!(report.busy, 0);
         assert_eq!(report.events, instance.stream.len());
     }
-    if let Some(deep) = &binary.deep_stats {
+    if let Some(deep) = &binary.lanes[0].deep_stats {
         assert_eq!(deep.oversized_rejected, 0);
     }
+    let (ndjson, binary) = (&ndjson.lanes[0], &binary.lanes[0]);
 
     // …and byte-identical to each other and to the batch engine.
     let registry = MatcherRegistry::builtin();

@@ -4,10 +4,10 @@
 //! `try_run_online` run — same decisions, same payments, same canonical
 //! JSON — with a silent auditor and zero backpressure drops.
 
-use com_bench::runner::canonical_run_json;
+use com_core::identity::{canonical_run_json, canonical_text};
 use com_core::{try_run_online, MatcherRegistry};
 use com_datagen::{generate, synthetic, SyntheticParams};
-use com_serve::{replay_scenario, serve, ReplayOptions, ServerConfig, ServerMsg};
+use com_serve::{drive, serve, DriveOptions, ServerConfig, ServerMsg};
 use com_sim::Instance;
 
 fn quick_instance() -> Instance {
@@ -18,36 +18,30 @@ fn quick_instance() -> Instance {
     }))
 }
 
-/// Round-trip a canonical value through text so both comparison sides use
-/// the parsed representation.
-fn canonical_text(value: &serde_json::Value) -> String {
-    let text = serde_json::to_string(value).expect("serialise");
-    let parsed: serde_json::Value = serde_json::from_str(&text).expect("round-trip");
-    serde_json::to_string(&parsed).expect("serialise")
-}
-
 #[test]
 fn served_run_equals_batch_run_and_audits_clean() {
     let instance = quick_instance();
     let handle = serve(ServerConfig::default()).expect("bind ephemeral port");
     let addr = handle.addr().to_string();
 
-    let options = ReplayOptions {
+    let options = DriveOptions {
         matcher: "demcom".into(),
         seed: 9,
-        ..ReplayOptions::default()
+        ..DriveOptions::default()
     };
-    let report = replay_scenario(&addr, &instance, &options).expect("loopback replay");
+    let report = drive(&options.lanes(&addr, &instance), &instance, options.window)
+        .expect("loopback replay");
+    let lane = &report.lanes[0];
 
     // The auditor is silent and nothing was dropped.
-    assert_eq!(report.bye.audit_findings, Vec::<String>::new());
+    assert_eq!(lane.bye.audit_findings, Vec::<String>::new());
     assert_eq!(report.busy, 0);
     assert_eq!(handle.counters().dropped(), 0);
 
     // Per-request accounting is consistent end to end.
     assert_eq!(report.events, instance.stream.len());
-    assert_eq!(report.assigned as u64, report.bye.completed);
-    assert_eq!(report.refused as u64, report.bye.refused);
+    assert_eq!(lane.assigned as u64, lane.bye.completed);
+    assert_eq!(lane.refused as u64, lane.bye.refused);
     assert!(report.request_rtt_ns.count() as usize == instance.request_count());
 
     // The served run IS the batch run.
@@ -56,9 +50,9 @@ fn served_run_equals_batch_run_and_audits_clean() {
     let batch = try_run_online(&instance, matcher.as_mut(), 9);
     assert_eq!(
         canonical_text(&canonical_run_json(&batch)),
-        canonical_text(&report.bye.canonical),
+        canonical_text(&lane.bye.canonical),
     );
-    assert_eq!(report.bye.revenue, batch.total_revenue());
+    assert_eq!(lane.bye.revenue, batch.total_revenue());
 
     assert_eq!(handle.counters().connections(), 1);
     assert_eq!(handle.counters().sessions_finished(), 1);
@@ -75,14 +69,16 @@ fn sequential_sessions_on_one_server_are_independent() {
 
     let mut canonicals = Vec::new();
     for _ in 0..2 {
-        let options = ReplayOptions {
+        let options = DriveOptions {
             matcher: "ramcom".into(),
             seed: 4242,
-            ..ReplayOptions::default()
+            ..DriveOptions::default()
         };
-        let report = replay_scenario(&addr, &instance, &options).expect("loopback replay");
-        assert_eq!(report.bye.audit_findings, Vec::<String>::new());
-        canonicals.push(canonical_text(&report.bye.canonical));
+        let report = drive(&options.lanes(&addr, &instance), &instance, options.window)
+            .expect("loopback replay");
+        let bye = &report.lanes[0].bye;
+        assert_eq!(bye.audit_findings, Vec::<String>::new());
+        canonicals.push(canonical_text(&bye.canonical));
     }
     // Same seed, fresh session: deterministic across connections.
     assert_eq!(canonicals[0], canonicals[1]);

@@ -10,13 +10,13 @@
 
 use std::time::{Duration, Instant};
 
-use com_bench::runner::{canonical_run_digest, canonical_run_json};
+use com_core::identity::{canonical_run_digest, canonical_run_json, canonical_text};
 use com_core::{try_run_online, validate_run, MatcherRegistry, MatcherSpec};
 use com_datagen::{generate, synthetic, SyntheticParams};
 use com_geo::Point;
 use com_serve::{
-    drive_multi, replay_scenario, serve, Client, ClientMsg, Hello, MultiOptions, Placement,
-    ReplayOptions, ServerConfig, ServerHandle, ServerMsg, WorkerMsg,
+    drive, serve, Client, ClientMsg, DriveOptions, Hello, Placement, ServerConfig, ServerHandle,
+    ServerMsg, WorkerMsg,
 };
 use com_sim::{ArrivalEvent, Instance};
 
@@ -34,14 +34,6 @@ fn shard_server(shards: usize) -> ServerHandle {
         ..ServerConfig::default()
     })
     .expect("bind ephemeral port")
-}
-
-/// Round-trip a canonical value through text so both comparison sides use
-/// the parsed representation.
-fn canonical_text(value: &serde_json::Value) -> String {
-    let text = serde_json::to_string(value).expect("serialise");
-    let parsed: serde_json::Value = serde_json::from_str(&text).expect("round-trip");
-    serde_json::to_string(&parsed).expect("serialise")
 }
 
 fn hello_for(instance: &Instance, matcher: &str, seed: u64) -> ClientMsg {
@@ -111,16 +103,19 @@ fn every_builtin_is_shard_count_invariant() {
         }
 
         // The pre-refactor path: one bare session per connection.
-        let bare = replay_scenario(
-            &one.addr().to_string(),
+        let bare_options = DriveOptions {
+            matcher: matcher.clone(),
+            seed: base_seed,
+            ..DriveOptions::default()
+        };
+        let bare = drive(
+            &bare_options.lanes(&one.addr().to_string(), &instance),
             &instance,
-            &ReplayOptions {
-                matcher: matcher.clone(),
-                seed: base_seed,
-                ..ReplayOptions::default()
-            },
+            bare_options.window,
         )
         .expect("bare replay");
+        let bare = &bare.lanes[0];
+        assert_eq!(bare.sid, None);
         assert_eq!(bare.bye.audit_findings, Vec::<String>::new());
         assert_eq!(
             canonical_text(&bare.bye.canonical),
@@ -131,41 +126,54 @@ fn every_builtin_is_shard_count_invariant() {
 
         // The mux path, 3 sessions over 2 connections, on both servers.
         for (label, handle, shards) in [("1 shard", &one, 1), ("4 shards", &four, 4)] {
-            let report = drive_multi(
-                &handle.addr().to_string(),
+            let options = DriveOptions {
+                matcher: matcher.clone(),
+                seed: base_seed,
+                connections: 2,
+                sessions,
+                window: 32,
+                ..DriveOptions::default()
+            };
+            let report = drive(
+                &options.lanes(&handle.addr().to_string(), &instance),
                 &instance,
-                &MultiOptions {
-                    matcher: matcher.clone(),
-                    base_seed,
-                    connections: 2,
-                    sessions,
-                    ..MultiOptions::default()
-                },
+                options.window,
             )
             .expect("mux replay");
             assert_eq!(report.busy, 0, "{matcher} on {label}: dropped messages");
-            assert_eq!(report.sessions.len(), sessions);
-            for outcome in &report.sessions {
-                let (canonical, digest) = &truth[outcome.sid as usize];
+            assert_eq!(report.lanes.len(), sessions);
+            assert_eq!(
+                report.request_rtt_ns.count() as usize,
+                sessions * instance.request_count(),
+                "{matcher} on {label}: one round trip per request per session"
+            );
+            for outcome in &report.lanes {
+                let sid = outcome.sid.expect("mux lanes carry a sid");
+                let (canonical, digest) = &truth[sid as usize];
                 assert_eq!(
                     outcome.bye.audit_findings,
                     Vec::<String>::new(),
-                    "{matcher} on {label}: sid {} audit",
-                    outcome.sid
+                    "{matcher} on {label}: sid {sid} audit"
                 );
                 assert_eq!(
                     &canonical_text(&outcome.bye.canonical),
                     canonical,
-                    "{matcher} on {label}: sid {} canonical run",
-                    outcome.sid
+                    "{matcher} on {label}: sid {sid} canonical run"
                 );
                 assert_eq!(
                     &outcome.bye.digest, digest,
-                    "{matcher} on {label}: sid {} digest",
-                    outcome.sid
+                    "{matcher} on {label}: sid {sid} digest"
+                );
+                assert_eq!(
+                    (outcome.assigned as u64, outcome.refused as u64),
+                    (outcome.bye.completed, outcome.bye.refused),
+                    "{matcher} on {label}: sid {sid} tallies match its bye"
                 );
             }
-            let deep = report.deep_stats.expect("stats_deep over conn 0");
+            let deep = report.lanes[0]
+                .deep_stats
+                .as_ref()
+                .expect("stats_deep over conn 0");
             assert_eq!(
                 deep.shards.len(),
                 shards,

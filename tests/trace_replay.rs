@@ -14,11 +14,11 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use com_core::identity::{canonical_run_json, canonical_text};
 use com_core::MatcherSpec;
 use com_datagen::{generate, synthetic, SyntheticParams};
 use com_serve::{
-    record_session, replay_scenario, replay_trace, serve, ReplayOptions, ServerConfig,
-    TraceReplayOptions,
+    drive, record_session, replay_trace, serve, DriveOptions, ServerConfig, TraceReplayOptions,
 };
 use com_sim::Instance;
 
@@ -36,12 +36,6 @@ fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("com-trace-replay-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
-}
-
-fn canonical_text(value: &serde_json::Value) -> String {
-    let text = serde_json::to_string(value).expect("serialise");
-    let parsed: serde_json::Value = serde_json::from_str(&text).expect("round-trip");
-    serde_json::to_string(&parsed).expect("serialise")
 }
 
 #[test]
@@ -71,7 +65,7 @@ fn every_builtin_spec_replays_byte_identically() {
         assert_eq!(report.decisions, instance.request_count() as u64);
         // Full canonical byte-identity with the recording-time run, not
         // just the digest.
-        let recorded_canonical = com_bench::runner::canonical_run_json(&recorded.run);
+        let recorded_canonical = canonical_run_json(&recorded.run);
         assert_eq!(
             canonical_text(&recorded_canonical),
             canonical_text(&report.canonical),
@@ -92,13 +86,15 @@ fn live_recorded_session_replays_byte_identically() {
     .expect("bind ephemeral port");
     let addr = handle.addr().to_string();
 
-    let options = ReplayOptions {
+    let options = DriveOptions {
         matcher: "demcom".into(),
         seed: 31,
-        ..ReplayOptions::default()
+        ..DriveOptions::default()
     };
-    let report = replay_scenario(&addr, &instance, &options).expect("loopback replay");
-    assert!(report.bye.audit_findings.is_empty());
+    let report = drive(&options.lanes(&addr, &instance), &instance, options.window)
+        .expect("loopback replay");
+    let bye = &report.lanes[0].bye;
+    assert!(bye.audit_findings.is_empty());
     handle.shutdown();
 
     // Exactly one session trace was recorded, named after the session.
@@ -126,7 +122,7 @@ fn live_recorded_session_replays_byte_identically() {
     assert_eq!(replayed.events, instance.stream.len() as u64);
     assert_eq!(
         canonical_text(&replayed.canonical),
-        canonical_text(&report.bye.canonical),
+        canonical_text(&bye.canonical),
         "replay of the live recording diverged from what the client saw",
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -222,15 +218,19 @@ fn deep_stats_reports_the_serving_phase_table_over_loopback() {
     let handle = serve(ServerConfig::default()).expect("bind ephemeral port");
     let addr = handle.addr().to_string();
 
-    let options = ReplayOptions {
+    let options = DriveOptions {
         matcher: "greedy-rt".into(),
         seed: 5,
-        ..ReplayOptions::default()
+        ..DriveOptions::default()
     };
-    let report = replay_scenario(&addr, &instance, &options).expect("loopback replay");
+    let mut report = drive(&options.lanes(&addr, &instance), &instance, options.window)
+        .expect("loopback replay");
     handle.shutdown();
 
-    let deep = report.deep_stats.expect("server answers stats_deep");
+    let deep = report.lanes[0]
+        .deep_stats
+        .take()
+        .expect("server answers stats_deep");
     assert_eq!(deep.stats.events, instance.stream.len() as u64);
     assert_eq!(deep.busy_dropped, 0);
     // Lockstep client: at most one line in flight, but the queue was used.
