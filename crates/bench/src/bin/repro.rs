@@ -37,10 +37,28 @@ use std::time::Instant;
 
 use com_bench::experiments::{ablation, cr, figures, tables};
 use com_bench::runner::SweepRunner;
+use com_datagen::cli::{exit_with, Cli};
 use com_metrics::{CountingAllocator, Table};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
+
+const USAGE: &str =
+    "usage: repro <table5|table6|table7|table5x30|fig5r|fig5w|fig5rad|cr|ablation|all> \
+     [--quick] [--out DIR] [--threads N] [--strict]";
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [&str; 9] = [
+    "table5",
+    "table6",
+    "table7",
+    "table5x30",
+    "fig5r",
+    "fig5w",
+    "fig5rad",
+    "cr",
+    "ablation",
+];
 
 struct Args {
     experiments: Vec<String>,
@@ -50,71 +68,41 @@ struct Args {
     strict: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: repro <table5|table6|table7|fig5r|fig5w|fig5rad|cr|ablation|all> \
-         [--quick] [--out DIR] [--threads N] [--strict]"
-    );
-    std::process::exit(2);
-}
-
+/// Read and check every argument before any experiment runs.
 fn parse_args() -> Args {
-    let mut experiments = Vec::new();
-    let mut quick = false;
-    let mut out = PathBuf::from("results");
-    let mut threads = 0; // all cores
-    let mut strict = false;
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
+    let mut args = Args {
+        experiments: Vec::new(),
+        quick: false,
+        out: PathBuf::from("results"),
+        threads: 0, // all cores
+        strict: false,
+    };
+    let mut cli = Cli::new(USAGE);
+    while let Some(arg) = cli.next() {
         match arg.as_str() {
-            "--quick" => quick = true,
-            "--strict" => strict = true,
-            "--out" => {
-                out = PathBuf::from(argv.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a directory");
-                    usage()
-                }));
-            }
-            "--threads" => {
-                threads = argv
-                    .next()
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads needs a worker count");
-                        usage()
-                    })
-                    .parse()
-                    .unwrap_or_else(|_| {
-                        eprintln!("--threads must be an integer (0 = all cores)");
-                        usage()
-                    });
-            }
-            "--help" | "-h" => {
-                println!("usage: repro <table5|table6|table7|fig5r|fig5w|fig5rad|cr|ablation|all> [--quick] [--out DIR] [--threads N] [--strict]");
-                std::process::exit(0);
-            }
-            other => experiments.push(other.to_string()),
+            "--quick" => args.quick = true,
+            "--strict" => args.strict = true,
+            "--out" => args.out = cli.value(&arg).into(),
+            "--threads" => args.threads = cli.parse(&arg),
+            flag if flag.starts_with('-') => cli.unknown(flag),
+            name if name == "all" || EXPERIMENTS.contains(&name) => args.experiments.push(arg),
+            other => cli.fail(format!("unknown experiment `{other}`")),
         }
     }
-    if experiments.is_empty() {
-        experiments.push("all".to_string());
+    if args.experiments.is_empty() || args.experiments.iter().any(|e| e == "all") {
+        args.experiments = EXPERIMENTS.map(String::from).to_vec();
     }
-    Args {
-        experiments,
-        quick,
-        out,
-        threads,
-        strict,
-    }
+    args
 }
 
 fn save(out: &Path, name: &str, markdown: &str, json: &serde_json::Value) {
-    fs::create_dir_all(out).expect("create output directory");
-    fs::write(out.join(format!("{name}.md")), markdown).expect("write markdown");
-    fs::write(
-        out.join(format!("{name}.json")),
-        serde_json::to_string_pretty(json).expect("serialise"),
-    )
-    .expect("write json");
+    let json = serde_json::to_string_pretty(json).expect("serialise");
+    let written = fs::create_dir_all(out)
+        .and_then(|()| fs::write(out.join(format!("{name}.md")), markdown))
+        .and_then(|()| fs::write(out.join(format!("{name}.json")), json));
+    if let Err(e) = written {
+        exit_with(1, format!("cannot write {name} to {}: {e}", out.display()));
+    }
 }
 
 fn emit_table(out: &Path, name: &str, table: &Table, json: &serde_json::Value) {
@@ -203,22 +191,7 @@ fn run_ablation(runner: &SweepRunner, quick: bool, out: &Path) {
 fn main() {
     let args = parse_args();
     let runner = SweepRunner::new(args.threads);
-    let all = [
-        "table5",
-        "table6",
-        "table7",
-        "table5x30",
-        "fig5r",
-        "fig5w",
-        "fig5rad",
-        "cr",
-        "ablation",
-    ];
-    let list: Vec<String> = if args.experiments.iter().any(|e| e == "all") {
-        all.iter().map(|s| s.to_string()).collect()
-    } else {
-        args.experiments.clone()
-    };
+    let list = &args.experiments;
 
     println!(
         "repro: {} experiment(s), {} mode, {} worker thread(s), output -> {}",
@@ -229,7 +202,7 @@ fn main() {
     );
 
     let mut audit_total: u64 = 0;
-    for name in &list {
+    for name in list {
         let started = Instant::now();
         CountingAllocator::reset_peak();
         match name.as_str() {
@@ -239,10 +212,7 @@ fn main() {
             "fig5r" | "fig5w" | "fig5rad" => run_sweep(&runner, name, args.quick, &args.out),
             "cr" => run_cr(&runner, args.quick, &args.out),
             "ablation" => run_ablation(&runner, args.quick, &args.out),
-            other => {
-                eprintln!("unknown experiment `{other}` (see --help)");
-                std::process::exit(2);
-            }
+            _ => unreachable!("parse_args checks every name"),
         }
         // Every grid cell in the experiment above went through the
         // fallible engine + post-run auditor; drain what they recorded.

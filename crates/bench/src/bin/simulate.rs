@@ -2,12 +2,16 @@
 //!
 //! ```text
 //! cargo run -p com-bench --release --bin simulate -- \
-//!     [--config scenario.json | --profile chengdu-oct|chengdu-nov|xian-nov|synthetic \
+//!     [--config scenario.json | --profile NAME \
 //!      | --workers-csv W.csv --requests-csv R.csv [--platforms "A,B"]] \
 //!     [--algo tota|demcom|ramcom|greedy-rt|route-aware:<cap-km>|all] \
 //!     [--seed N] [--metric euclidean|manhattan] [--json out.json] \
 //!     [--stats] [--trace out.jsonl] [--threads N] [--strict]
 //! ```
+//!
+//! `--profile` names an entry of the `com_datagen::cli` table
+//! (`chengdu-oct`, `chengdu-nov`, `xian-nov`, `synthetic`, `quick`,
+//! `full-scale`; default `synthetic`); give it or `--config`, not both.
 //!
 //! Algorithm names resolve through `com-core`'s `MatcherRegistry` — the
 //! same source of truth the `repro` harness uses — so an unknown
@@ -46,19 +50,22 @@ use std::path::PathBuf;
 
 use com_bench::runner::{merged_telemetry, SweepRunner};
 use com_core::{try_run_online, validate_run, MatcherFactory, MatcherRegistry, RunResult};
-use com_datagen::{
-    chengdu_nov, chengdu_oct, generate, instance_from_csv, synthetic, xian_nov, ScenarioConfig,
-    SyntheticParams,
-};
+use com_datagen::cli::{exit_with, Cli, ScenarioArg, CONFIG, PROFILE};
+use com_datagen::{generate, instance_from_csv, ScenarioConfig};
 use com_geo::DistanceMetric;
 use com_metrics::Table;
 use com_sim::{Instance, PlatformId, WorldConfig};
 
+const USAGE: &str = "usage: simulate [--config FILE | --profile NAME \
+     | --workers-csv W.csv --requests-csv R.csv [--platforms NAMES]] \
+     [--algo LIST] [--seed N] [--metric euclidean|manhattan] \
+     [--json FILE] [--stats] [--trace FILE.jsonl] [--threads N] \
+     [--strict] [--emit-config]";
+
 struct Args {
-    config: Option<PathBuf>,
-    profile: String,
-    workers_csv: Option<PathBuf>,
-    requests_csv: Option<PathBuf>,
+    scenario: ScenarioArg,
+    workers_csv: Option<String>,
+    requests_csv: Option<String>,
     platforms: Vec<String>,
     algos: Vec<String>,
     seed: u64,
@@ -71,21 +78,9 @@ struct Args {
     strict: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: simulate [--config FILE | --profile NAME \
-         | --workers-csv W.csv --requests-csv R.csv [--platforms NAMES]] \
-         [--algo LIST] [--seed N] [--metric euclidean|manhattan] \
-         [--json FILE] [--stats] [--trace FILE.jsonl] [--threads N] \
-         [--strict] [--emit-config]"
-    );
-    std::process::exit(2);
-}
-
 fn parse_args() -> Args {
     let mut args = Args {
-        config: None,
-        profile: "synthetic".into(),
+        scenario: ScenarioArg::new(&[CONFIG, PROFILE], "synthetic"),
         workers_csv: None,
         requests_csv: None,
         platforms: vec!["A".into(), "B".into()],
@@ -99,79 +94,36 @@ fn parse_args() -> Args {
         threads: 1,
         strict: false,
     };
-    let mut argv = std::env::args().skip(1);
-    while let Some(a) = argv.next() {
-        let mut next = |flag: &str| {
-            argv.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                usage()
-            })
-        };
-        match a.as_str() {
-            "--config" => args.config = Some(PathBuf::from(next("--config"))),
-            "--profile" => args.profile = next("--profile"),
-            "--workers-csv" => args.workers_csv = Some(PathBuf::from(next("--workers-csv"))),
-            "--requests-csv" => args.requests_csv = Some(PathBuf::from(next("--requests-csv"))),
-            "--platforms" => {
-                args.platforms = next("--platforms")
-                    .split(',')
-                    .map(|s| s.to_string())
-                    .collect()
-            }
-            "--algo" => args.algos = next("--algo").split(',').map(|s| s.to_string()).collect(),
-            "--seed" => {
-                args.seed = next("--seed").parse().unwrap_or_else(|_| {
-                    eprintln!("--seed must be an integer");
-                    usage()
-                })
-            }
+    let list = |text: String| text.split(',').map(|s| s.to_string()).collect();
+    let mut cli = Cli::new(USAGE);
+    while let Some(flag) = cli.next() {
+        match flag.as_str() {
+            _ if args.scenario.read(&flag, &mut cli) => {}
+            "--workers-csv" => args.workers_csv = Some(cli.value(&flag)),
+            "--requests-csv" => args.requests_csv = Some(cli.value(&flag)),
+            "--platforms" => args.platforms = list(cli.value(&flag)),
+            "--algo" => args.algos = list(cli.value(&flag)),
+            "--seed" => args.seed = cli.parse(&flag),
             "--metric" => {
-                args.metric = match next("--metric").as_str() {
+                args.metric = match cli.value(&flag).as_str() {
                     "euclidean" => DistanceMetric::Euclidean,
                     "manhattan" => DistanceMetric::Manhattan,
-                    other => {
-                        eprintln!("unknown metric {other}");
-                        usage()
-                    }
+                    other => cli.fail(format!("unknown metric {other}")),
                 }
             }
-            "--json" => args.json_out = Some(PathBuf::from(next("--json"))),
+            "--json" => args.json_out = Some(cli.value(&flag).into()),
             "--stats" => args.stats = true,
-            "--trace" => args.trace = Some(PathBuf::from(next("--trace"))),
-            "--threads" => {
-                args.threads = next("--threads").parse().unwrap_or_else(|_| {
-                    eprintln!("--threads must be an integer (0 = all cores)");
-                    usage()
-                })
-            }
+            "--trace" => args.trace = Some(cli.value(&flag).into()),
+            "--threads" => args.threads = cli.parse(&flag),
             "--strict" => args.strict = true,
             "--emit-config" => args.emit_config = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage()
-            }
+            _ => cli.unknown(&flag),
         }
+    }
+    if args.workers_csv.is_some() != args.requests_csv.is_some() {
+        cli.fail("--workers-csv and --requests-csv must be given together")
     }
     args
-}
-
-fn load_scenario(args: &Args) -> ScenarioConfig {
-    if let Some(path) = &args.config {
-        let text = fs::read_to_string(path).expect("read config file");
-        serde_json::from_str(&text).expect("parse ScenarioConfig JSON")
-    } else {
-        match args.profile.as_str() {
-            "chengdu-oct" => chengdu_oct(),
-            "chengdu-nov" => chengdu_nov(),
-            "xian-nov" => xian_nov(),
-            "synthetic" => synthetic(SyntheticParams::default()),
-            other => {
-                eprintln!("unknown profile {other}");
-                usage()
-            }
-        }
-    }
 }
 
 /// Resolve every requested `--algo` spec through the shared registry,
@@ -181,10 +133,9 @@ fn resolve_algos(registry: &MatcherRegistry, names: &[String]) -> Vec<MatcherFac
     names
         .iter()
         .map(|name| {
-            registry.resolve(name).unwrap_or_else(|e| {
-                eprintln!("simulate: {e}");
-                std::process::exit(2)
-            })
+            registry
+                .resolve(name)
+                .unwrap_or_else(|e| exit_with(2, format!("simulate: {e}")))
         })
         .collect()
 }
@@ -208,26 +159,19 @@ fn report_row(run: &RunResult, platforms: usize) -> Vec<String> {
 }
 
 fn build_instance(args: &Args, scenario: &ScenarioConfig) -> Instance {
+    let read = |path: &str| {
+        fs::read_to_string(path)
+            .unwrap_or_else(|e| exit_with(2, format!("cannot read {path}: {e}")))
+    };
     match (&args.workers_csv, &args.requests_csv) {
-        (Some(w), Some(r)) => {
-            let workers = fs::read_to_string(w).expect("read workers csv");
-            let requests = fs::read_to_string(r).expect("read requests csv");
-            instance_from_csv(
-                &workers,
-                &requests,
-                args.platforms.clone(),
-                WorldConfig::city(30.0),
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("CSV error: {e}");
-                std::process::exit(2)
-            })
-        }
-        (None, None) => generate(scenario),
-        _ => {
-            eprintln!("--workers-csv and --requests-csv must be given together");
-            usage()
-        }
+        (Some(w), Some(r)) => instance_from_csv(
+            &read(w),
+            &read(r),
+            args.platforms.clone(),
+            WorldConfig::city(30.0),
+        )
+        .unwrap_or_else(|e| exit_with(2, format!("CSV error: {e}"))),
+        _ => generate(scenario),
     }
 }
 
@@ -292,7 +236,7 @@ fn print_stats(reports: &[com_obs::RunTelemetry]) {
 
 fn main() {
     let args = parse_args();
-    let scenario = load_scenario(&args);
+    let scenario = args.scenario.load();
 
     if args.emit_config {
         println!(
@@ -344,8 +288,7 @@ fn main() {
     );
     if let Some(path) = &args.trace {
         com_obs::install_with_trace(path).unwrap_or_else(|e| {
-            eprintln!("cannot open trace file {}: {e}", path.display());
-            std::process::exit(2)
+            exit_with(2, format!("cannot open trace file {}: {e}", path.display()))
         });
     }
 
@@ -423,7 +366,7 @@ fn main() {
             }))
             .expect("serialise results"),
         )
-        .expect("write json output");
+        .unwrap_or_else(|e| exit_with(1, format!("cannot write {}: {e}", path.display())));
         println!("results written to {}", path.display());
     }
 

@@ -28,7 +28,10 @@
 //!   RYC10), `chengdu_nov` (RDC11 + RYC11), `xian_nov` (RDX11 + RYX11),
 //!   each at 1/10 of the paper's daily volume, plus the Table IV
 //!   synthetic sweep configurations.
+//! * [`cli`] — the command-line front end every binary shares: an argv
+//!   cursor and the scenario name table behind `--profile`/`--quick`.
 
+pub mod cli;
 pub mod csv;
 pub mod dist;
 pub mod hotspot;

@@ -16,9 +16,10 @@
 //!
 //! Flags:
 //!
-//! * `--quick` — small synthetic scenario (400 requests, 120 workers).
+//! * `--quick` — small synthetic scenario (400 requests, 120 workers);
+//!   the default.
 //! * `--full-scale` — the full-scale city scenario (4000 requests, 1200
-//!   workers).
+//!   workers). At most one of the two.
 //! * `--matcher <spec>` / `--seed <n>` — matcher and seed (both the
 //!   daemons and the local reference use them).
 //! * `--frame ndjson|binary` — wire framing for the client links (the
@@ -33,13 +34,19 @@
 use std::fs;
 use std::time::{Duration, Instant};
 
-use com_datagen::{generate, synthetic, SyntheticParams};
+use com_datagen::cli::{exit_with, Cli, ScenarioArg, FULL_SCALE, QUICK};
+use com_datagen::generate;
 use com_fed::{pair_lanes, verify, FedOptions, FedReport, LoopbackPair};
 use com_serve::{drive, ServerConfig, WireFormat};
 
+const USAGE: &str = "usage: matchfed [--quick | --full-scale] [--matcher SPEC] [--seed N]\n\
+     \x20               [--frame ndjson|binary] [--deadline-ms N] [--strict]\n\
+     \x20               [--json PATH]\n\
+     \x20               [--addr-a HOST:PORT --addr-b HOST:PORT]\n\
+     \x20               [--addr-file-a PATH --addr-file-b PATH]";
+
 struct Args {
-    quick: bool,
-    full_scale: bool,
+    scenario: ScenarioArg,
     matcher: String,
     seed: u64,
     frame: WireFormat,
@@ -52,21 +59,10 @@ struct Args {
     addr_file_b: Option<String>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: matchfed [--quick | --full-scale] [--matcher SPEC] [--seed N]\n\
-         \x20               [--frame ndjson|binary] [--deadline-ms N] [--strict]\n\
-         \x20               [--json PATH]\n\
-         \x20               [--addr-a HOST:PORT --addr-b HOST:PORT]\n\
-         \x20               [--addr-file-a PATH --addr-file-b PATH]"
-    );
-    std::process::exit(2)
-}
-
 fn parse_args() -> Args {
     let mut args = Args {
-        quick: false,
-        full_scale: false,
+        // --quick and the default are the same small scenario.
+        scenario: ScenarioArg::new(&[QUICK, FULL_SCALE], "quick"),
         matcher: "demcom".into(),
         seed: 42,
         frame: WireFormat::Ndjson,
@@ -78,51 +74,30 @@ fn parse_args() -> Args {
         addr_file_a: None,
         addr_file_b: None,
     };
-    let mut argv = std::env::args().skip(1);
-    let next = |flag: &str, argv: &mut dyn Iterator<Item = String>| -> String {
-        argv.next().unwrap_or_else(|| {
-            eprintln!("{flag} needs a value");
-            usage()
-        })
-    };
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--quick" => args.quick = true,
-            "--full-scale" => args.full_scale = true,
-            "--matcher" => args.matcher = next("--matcher", &mut argv),
-            "--seed" => {
-                args.seed = next("--seed", &mut argv).parse().unwrap_or_else(|_| {
-                    eprintln!("--seed needs an integer");
-                    usage()
-                })
-            }
+    let mut cli = Cli::new(USAGE);
+    while let Some(flag) = cli.next() {
+        match flag.as_str() {
+            _ if args.scenario.read(&flag, &mut cli) => {}
+            "--matcher" => args.matcher = cli.value(&flag),
+            "--seed" => args.seed = cli.parse(&flag),
             "--frame" => {
-                let token = next("--frame", &mut argv);
-                args.frame = WireFormat::parse(&token).unwrap_or_else(|| {
-                    eprintln!("--frame must be ndjson or binary");
-                    usage()
-                })
+                args.frame = WireFormat::parse(&cli.value(&flag))
+                    .unwrap_or_else(|| cli.fail("--frame must be ndjson or binary"))
             }
-            "--deadline-ms" => {
-                args.deadline_ms = next("--deadline-ms", &mut argv)
-                    .parse()
-                    .unwrap_or_else(|_| {
-                        eprintln!("--deadline-ms needs an integer");
-                        usage()
-                    })
-            }
+            "--deadline-ms" => args.deadline_ms = cli.parse(&flag),
             "--strict" => args.strict = true,
-            "--json" => args.json_out = Some(next("--json", &mut argv)),
-            "--addr-a" => args.addr_a = Some(next("--addr-a", &mut argv)),
-            "--addr-b" => args.addr_b = Some(next("--addr-b", &mut argv)),
-            "--addr-file-a" => args.addr_file_a = Some(next("--addr-file-a", &mut argv)),
-            "--addr-file-b" => args.addr_file_b = Some(next("--addr-file-b", &mut argv)),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage()
-            }
+            "--json" => args.json_out = Some(cli.value(&flag)),
+            "--addr-a" => args.addr_a = Some(cli.value(&flag)),
+            "--addr-b" => args.addr_b = Some(cli.value(&flag)),
+            "--addr-file-a" => args.addr_file_a = Some(cli.value(&flag)),
+            "--addr-file-b" => args.addr_file_b = Some(cli.value(&flag)),
+            _ => cli.unknown(&flag),
         }
+    }
+    let external_a = args.addr_a.is_some() || args.addr_file_a.is_some();
+    let external_b = args.addr_b.is_some() || args.addr_file_b.is_some();
+    if external_a != external_b {
+        cli.fail("provide both daemon addresses or neither")
     }
     args
 }
@@ -139,8 +114,7 @@ fn wait_addr_file(path: &str) -> String {
             }
         }
         if Instant::now() >= deadline {
-            eprintln!("no address appeared in {path} within 10s");
-            std::process::exit(2);
+            exit_with(2, format!("no address appeared in {path} within 10s"));
         }
         std::thread::sleep(Duration::from_millis(25));
     }
@@ -192,26 +166,8 @@ fn report_json(
 
 fn main() {
     let args = parse_args();
-    let scenario_name = if args.full_scale {
-        "full-scale"
-    } else {
-        "quick"
-    };
-    let scenario = if args.full_scale {
-        synthetic(SyntheticParams {
-            n_requests: 4000,
-            n_workers: 1200,
-            ..SyntheticParams::default()
-        })
-    } else {
-        // --quick and the default are the same small scenario.
-        synthetic(SyntheticParams {
-            n_requests: 400,
-            n_workers: 120,
-            ..SyntheticParams::default()
-        })
-    };
-    let instance = generate(&scenario);
+    let scenario_name = args.scenario.profile().expect("matchfed takes no --config");
+    let instance = generate(&args.scenario.load());
     let options = FedOptions {
         matcher: args.matcher.clone(),
         seed: args.seed,
@@ -232,27 +188,18 @@ fn main() {
         .or_else(|| args.addr_file_b.as_deref().map(wait_addr_file));
     let (pair, addr_a, addr_b) = match (external_a, external_b) {
         (Some(a), Some(b)) => (None, a, b),
-        (None, None) => {
-            let pair = LoopbackPair::start(&ServerConfig::default()).unwrap_or_else(|e| {
-                eprintln!("cannot start in-process pair: {e}");
-                std::process::exit(2)
-            });
+        _ => {
+            let pair = LoopbackPair::start(&ServerConfig::default())
+                .unwrap_or_else(|e| exit_with(2, format!("cannot start in-process pair: {e}")));
             let (a, b) = (pair.addr_a(), pair.addr_b());
             (Some(pair), a, b)
-        }
-        _ => {
-            eprintln!("provide both daemon addresses or neither");
-            usage()
         }
     };
 
     let report = pair_lanes(&addr_a, &addr_b, &instance, &options)
         .and_then(|lanes| drive(&lanes, &instance, 1))
         .map(FedReport::from_drive)
-        .unwrap_or_else(|e| {
-            eprintln!("federated drive failed: {e}");
-            std::process::exit(1)
-        });
+        .unwrap_or_else(|e| exit_with(1, format!("federated drive failed: {e}")));
     let failures = verify(&instance, &report, &options);
     if let Some(pair) = pair {
         pair.shutdown();
@@ -293,10 +240,7 @@ fn main() {
     if let Some(path) = &args.json_out {
         let value = report_json(scenario_name, &args, &report, &failures);
         let text = serde_json::to_string(&value).expect("report serializes");
-        fs::write(path, text).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2)
-        });
+        fs::write(path, text).unwrap_or_else(|e| exit_with(1, format!("cannot write {path}: {e}")));
     }
     if args.strict && !failures.is_empty() {
         std::process::exit(1);

@@ -109,8 +109,19 @@ mod tests {
     // The counting allocator is NOT installed as the global allocator in
     // unit tests (that would affect the whole test binary); we exercise
     // the bookkeeping directly.
+
+    /// The counters are process-wide and tests run on parallel threads:
+    /// each test holds this lock so no other test moves them mid-check.
+    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        // A failed test poisons the lock; the counters stay usable.
+        COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn alloc_dealloc_bookkeeping() {
+        let _serial = serial();
         let a = CountingAllocator;
         let layout = Layout::from_size_align(4096, 8).unwrap();
         let before_live = CountingAllocator::live_bytes();
@@ -124,6 +135,7 @@ mod tests {
 
     #[test]
     fn realloc_adjusts_counts() {
+        let _serial = serial();
         let a = CountingAllocator;
         let layout = Layout::from_size_align(1024, 8).unwrap();
         let ptr = unsafe { a.alloc(layout) };
@@ -137,6 +149,7 @@ mod tests {
 
     #[test]
     fn gauge_measures_peak_delta() {
+        let _serial = serial();
         let a = CountingAllocator;
         let gauge = MemoryGauge::start();
         let layout = Layout::from_size_align(1 << 16, 8).unwrap();

@@ -47,6 +47,7 @@
 //! Without `--once` the daemon runs until killed; every in-flight
 //! session is still drained and audited on client disconnect.
 
+use com_datagen::cli::Cli;
 use com_serve::{serve, Placement, ServerConfig};
 
 /// Write the bound address atomically: scripts poll `--addr-file` and
@@ -68,14 +69,9 @@ fn write_addr_file(path: &str, addr: &str) -> std::io::Result<()> {
     std::fs::rename(&tmp, target)
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: matchd [--addr HOST:PORT] [--addr-file FILE] [--queue N] \
-         [--shards N] [--placement hash|grid[:CELL]] [--once] [--stats] \
-         [--record DIR] [--no-telemetry]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: matchd [--addr HOST:PORT] [--addr-file FILE] [--queue N] \
+     [--shards N] [--placement hash|grid[:CELL]] [--once] [--stats] \
+     [--record DIR] [--no-telemetry]";
 
 fn main() {
     let mut config = ServerConfig {
@@ -83,48 +79,22 @@ fn main() {
         ..ServerConfig::default()
     };
     let mut addr_file: Option<String> = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        let mut next = |flag: &str| {
-            argv.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--addr" => config.addr = next("--addr"),
-            "--addr-file" => addr_file = Some(next("--addr-file")),
-            "--queue" => {
-                config.queue_capacity = next("--queue").parse().unwrap_or_else(|_| {
-                    eprintln!("--queue must be a positive integer");
-                    usage()
-                })
-            }
-            "--shards" => {
-                config.shards = next("--shards").parse().unwrap_or_else(|_| {
-                    eprintln!("--shards must be a positive integer");
-                    usage()
-                });
-                if config.shards == 0 {
-                    eprintln!("--shards must be a positive integer");
-                    usage()
-                }
-            }
+    let mut cli = Cli::new(USAGE);
+    while let Some(flag) = cli.next() {
+        match flag.as_str() {
+            "--addr" => config.addr = cli.value(&flag),
+            "--addr-file" => addr_file = Some(cli.value(&flag)),
+            "--queue" => config.queue_capacity = cli.parse(&flag),
+            "--shards" => config.shards = cli.positive(&flag),
             "--placement" => {
-                config.placement = Placement::parse(&next("--placement")).unwrap_or_else(|e| {
-                    eprintln!("--placement: {e}");
-                    usage()
-                })
+                config.placement = Placement::parse(&cli.value(&flag))
+                    .unwrap_or_else(|e| cli.fail(format!("--placement: {e}")))
             }
             "--once" => config.once = true,
             "--stats" => config.print_stats = true,
-            "--record" => config.record_dir = Some(next("--record").into()),
+            "--record" => config.record_dir = Some(cli.value(&flag).into()),
             "--no-telemetry" => config.telemetry = false,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage()
-            }
+            _ => cli.unknown(&flag),
         }
     }
 

@@ -3,8 +3,8 @@
 //! ```text
 //! cargo run -p com-serve --release --bin matchload -- \
 //!     --addr HOST:PORT \
-//!     [--profile chengdu-oct|chengdu-nov|xian-nov|synthetic | --config FILE] \
-//!     [--quick] [--full-scale] [--matcher SPEC] [--seed N] \
+//!     [--profile NAME | --config FILE | --quick | --full-scale] \
+//!     [--matcher SPEC] [--seed N] \
 //!     [--frame ndjson|binary] [--window N] \
 //!     [--connections M] [--sessions K] \
 //!     [--json FILE] [--baseline FILE] [--strict]
@@ -19,10 +19,13 @@
 //! per-shard rows; the same tables land in the `--json` report as
 //! `server_phases` and `server_shards`.
 //!
-//! * `--quick` — a small synthetic scenario (400 requests, 120 workers)
-//!   regardless of profile; what CI's serve-smoke job runs.
-//! * `--full-scale` — the full-scale city scenario (4000 requests, 1200
-//!   workers — 10× quick); the paper-scale serving experiment.
+//! * `--profile` / `--config` / `--quick` / `--full-scale` — the
+//!   scenario (at most one; default `synthetic`), resolved through the
+//!   `com_datagen::cli` name table. `--quick` is a small synthetic
+//!   scenario (400 requests, 120 workers), what CI's serve-smoke job
+//!   runs; `--full-scale` is the full-scale city scenario (4000
+//!   requests, 1200 workers — 10× quick), the paper-scale serving
+//!   experiment.
 //! * `--frame` — wire framing to negotiate in `hello` (default
 //!   `ndjson`); `binary` switches to length-prefixed frames after the
 //!   server's `welcome` confirms.
@@ -49,17 +52,18 @@ use std::fs;
 
 use com_core::identity::{canonical_run_digest, canonical_run_json, canonical_text};
 use com_core::{try_run_online, MatcherRegistry};
-use com_datagen::{
-    chengdu_nov, chengdu_oct, generate, synthetic, xian_nov, ScenarioConfig, SyntheticParams,
-};
+use com_datagen::cli::{exit_with, Cli, ScenarioArg, CONFIG, FULL_SCALE, PROFILE, QUICK};
+use com_datagen::generate;
 use com_serve::{drive, DeepStatsMsg, DriveOptions, ShardRow, WireFormat};
+
+const USAGE: &str = "usage: matchload --addr HOST:PORT [--profile NAME | --config FILE] \
+     [--quick] [--full-scale] [--matcher SPEC] [--seed N] \
+     [--frame ndjson|binary] [--window N] [--connections M] \
+     [--sessions K] [--json FILE] [--baseline FILE] [--strict]";
 
 struct Args {
     addr: String,
-    profile: String,
-    config: Option<String>,
-    quick: bool,
-    full_scale: bool,
+    scenario: ScenarioArg,
     matcher: String,
     seed: u64,
     frame: WireFormat,
@@ -71,23 +75,10 @@ struct Args {
     strict: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: matchload --addr HOST:PORT [--profile NAME | --config FILE] \
-         [--quick] [--full-scale] [--matcher SPEC] [--seed N] \
-         [--frame ndjson|binary] [--window N] [--connections M] \
-         [--sessions K] [--json FILE] [--baseline FILE] [--strict]"
-    );
-    std::process::exit(2);
-}
-
 fn parse_args() -> Args {
     let mut args = Args {
         addr: String::new(),
-        profile: "synthetic".into(),
-        config: None,
-        quick: false,
-        full_scale: false,
+        scenario: ScenarioArg::new(&[PROFILE, CONFIG, QUICK, FULL_SCALE], "synthetic"),
         matcher: "demcom".into(),
         seed: 42,
         frame: WireFormat::Ndjson,
@@ -98,117 +89,30 @@ fn parse_args() -> Args {
         baseline: None,
         strict: false,
     };
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        let mut next = |flag: &str| {
-            argv.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--addr" => args.addr = next("--addr"),
-            "--profile" => args.profile = next("--profile"),
-            "--config" => args.config = Some(next("--config")),
-            "--quick" => args.quick = true,
-            "--full-scale" => args.full_scale = true,
-            "--matcher" => args.matcher = next("--matcher"),
-            "--seed" => {
-                args.seed = next("--seed").parse().unwrap_or_else(|_| {
-                    eprintln!("--seed must be an integer");
-                    usage()
-                })
-            }
+    let mut cli = Cli::new(USAGE);
+    while let Some(flag) = cli.next() {
+        match flag.as_str() {
+            _ if args.scenario.read(&flag, &mut cli) => {}
+            "--addr" => args.addr = cli.value(&flag),
+            "--matcher" => args.matcher = cli.value(&flag),
+            "--seed" => args.seed = cli.parse(&flag),
             "--frame" => {
-                let token = next("--frame");
-                args.frame = WireFormat::parse(&token).unwrap_or_else(|| {
-                    eprintln!("--frame must be ndjson or binary");
-                    usage()
-                })
+                args.frame = WireFormat::parse(&cli.value(&flag))
+                    .unwrap_or_else(|| cli.fail("--frame must be ndjson or binary"))
             }
-            "--window" => {
-                args.window = next("--window").parse().unwrap_or_else(|_| {
-                    eprintln!("--window must be a positive integer");
-                    usage()
-                });
-                if args.window == 0 {
-                    eprintln!("--window must be a positive integer");
-                    usage()
-                }
-            }
-            "--connections" => {
-                args.connections = next("--connections").parse().unwrap_or_else(|_| {
-                    eprintln!("--connections must be a positive integer");
-                    usage()
-                });
-                if args.connections == 0 {
-                    eprintln!("--connections must be a positive integer");
-                    usage()
-                }
-            }
-            "--sessions" => {
-                args.sessions = next("--sessions").parse().unwrap_or_else(|_| {
-                    eprintln!("--sessions must be a positive integer");
-                    usage()
-                });
-                if args.sessions == 0 {
-                    eprintln!("--sessions must be a positive integer");
-                    usage()
-                }
-            }
-            "--json" => args.json_out = Some(next("--json")),
-            "--baseline" => args.baseline = Some(next("--baseline")),
+            "--window" => args.window = cli.positive(&flag),
+            "--connections" => args.connections = cli.positive(&flag),
+            "--sessions" => args.sessions = cli.positive(&flag),
+            "--json" => args.json_out = Some(cli.value(&flag)),
+            "--baseline" => args.baseline = Some(cli.value(&flag)),
             "--strict" => args.strict = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage()
-            }
+            _ => cli.unknown(&flag),
         }
     }
     if args.addr.is_empty() {
-        eprintln!("--addr is required");
-        usage()
+        cli.fail("--addr is required")
     }
     args
-}
-
-fn load_scenario(args: &Args) -> ScenarioConfig {
-    if args.quick {
-        return synthetic(SyntheticParams {
-            n_requests: 400,
-            n_workers: 120,
-            ..SyntheticParams::default()
-        });
-    }
-    if args.full_scale {
-        // 10× quick: the paper-scale full city run.
-        return synthetic(SyntheticParams {
-            n_requests: 4000,
-            n_workers: 1200,
-            ..SyntheticParams::default()
-        });
-    }
-    if let Some(path) = &args.config {
-        let text = fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2)
-        });
-        return serde_json::from_str(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse {path}: {e}");
-            std::process::exit(2)
-        });
-    }
-    match args.profile.as_str() {
-        "chengdu-oct" => chengdu_oct(),
-        "chengdu-nov" => chengdu_nov(),
-        "xian-nov" => xian_nov(),
-        "synthetic" => synthetic(SyntheticParams::default()),
-        other => {
-            eprintln!("unknown profile {other}");
-            usage()
-        }
-    }
 }
 
 fn us(ns: u64) -> f64 {
@@ -259,13 +163,14 @@ fn print_shard_table(shards: &[ShardRow]) {
     }
 }
 
-fn scenario_name(args: &Args) -> String {
-    if args.quick {
-        "quick-synthetic".to_string()
-    } else if args.full_scale {
-        "full-scale-synthetic".to_string()
-    } else {
-        args.profile.clone()
+/// The report's scenario label; a `--config` run carries the default
+/// profile's name.
+fn scenario_name(args: &Args) -> &'static str {
+    match args.scenario.profile() {
+        Some("quick") => "quick-synthetic",
+        Some("full-scale") => "full-scale-synthetic",
+        Some(name) => name,
+        None => "synthetic",
     }
 }
 
@@ -273,10 +178,9 @@ fn scenario_name(args: &Args) -> String {
 /// the finish digest.
 fn local_truth(instance: &com_sim::Instance, matcher_spec: &str, seed: u64) -> (String, String) {
     let registry = MatcherRegistry::builtin();
-    let factory = registry.resolve(matcher_spec).unwrap_or_else(|e| {
-        eprintln!("matchload: {e}");
-        std::process::exit(2)
-    });
+    let factory = registry
+        .resolve(matcher_spec)
+        .unwrap_or_else(|e| exit_with(2, format!("matchload: {e}")));
     let mut matcher = factory();
     let batch = try_run_online(instance, matcher.as_mut(), seed);
     (
@@ -310,10 +214,8 @@ fn run(args: &Args, instance: &com_sim::Instance) {
         args.frame,
         args.window,
     );
-    let report = drive(&lanes, instance, options.window).unwrap_or_else(|e| {
-        eprintln!("matchload: replay failed: {e}");
-        std::process::exit(1)
-    });
+    let report = drive(&lanes, instance, options.window)
+        .unwrap_or_else(|e| exit_with(1, format!("matchload: replay failed: {e}")));
 
     let h = &report.request_rtt_ns;
     println!(
@@ -469,14 +371,10 @@ fn run(args: &Args, instance: &com_sim::Instance) {
 }
 
 fn read_baseline(path: &str) -> serde_json::Value {
-    let text = fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read baseline {path}: {e}");
-        std::process::exit(2)
-    });
-    serde_json::from_str::<serde_json::Value>(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse baseline {path}: {e}");
-        std::process::exit(2)
-    })
+    let text = fs::read_to_string(path)
+        .unwrap_or_else(|e| exit_with(2, format!("cannot read baseline {path}: {e}")));
+    serde_json::from_str::<serde_json::Value>(&text)
+        .unwrap_or_else(|e| exit_with(2, format!("cannot parse baseline {path}: {e}")))
 }
 
 fn write_json(path: &str, json: &serde_json::Value) {
@@ -484,16 +382,12 @@ fn write_json(path: &str, json: &serde_json::Value) {
         path,
         serde_json::to_string_pretty(json).expect("serialise report"),
     )
-    .unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1)
-    });
+    .unwrap_or_else(|e| exit_with(1, format!("cannot write {path}: {e}")));
     println!("report written to {path}");
 }
 
 fn main() {
     let args = parse_args();
-    let scenario = load_scenario(&args);
-    let instance = generate(&scenario);
+    let instance = generate(&args.scenario.load());
     run(&args, &instance);
 }

@@ -30,10 +30,13 @@
 
 use std::path::{Path, PathBuf};
 
-use com_datagen::{
-    chengdu_nov, chengdu_oct, generate, synthetic, xian_nov, ScenarioConfig, SyntheticParams,
-};
+use com_datagen::cli::{exit_with, Cli, ScenarioArg, CONFIG, PROFILE, QUICK};
+use com_datagen::generate;
 use com_serve::{record_session, replay_trace, TraceReplayOptions, TraceReplayReport};
+
+const USAGE: &str = "usage: matchreplay [--strict] [--rate HZ] [--json FILE] TRACE.jsonl...\n\
+     \x20      matchreplay --record TRACE.jsonl --matcher SPEC [--seed N] \
+     [--quick | --profile NAME | --config FILE]";
 
 struct Args {
     traces: Vec<PathBuf>,
@@ -43,18 +46,7 @@ struct Args {
     record: Option<PathBuf>,
     matcher: String,
     seed: u64,
-    profile: String,
-    config: Option<String>,
-    quick: bool,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: matchreplay [--strict] [--rate HZ] [--json FILE] TRACE.jsonl...\n\
-         \x20      matchreplay --record TRACE.jsonl --matcher SPEC [--seed N] \
-         [--quick | --profile NAME | --config FILE]"
-    );
-    std::process::exit(2);
+    scenario: ScenarioArg,
 }
 
 fn parse_args() -> Args {
@@ -66,94 +58,35 @@ fn parse_args() -> Args {
         record: None,
         matcher: "demcom".into(),
         seed: 42,
-        profile: "synthetic".into(),
-        config: None,
-        quick: false,
+        scenario: ScenarioArg::new(&[QUICK, PROFILE, CONFIG], "synthetic"),
     };
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        let mut next = |flag: &str| {
-            argv.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                usage()
-            })
-        };
+    let mut cli = Cli::new(USAGE);
+    while let Some(arg) = cli.next() {
         match arg.as_str() {
+            _ if args.scenario.read(&arg, &mut cli) => {}
             "--strict" => args.strict = true,
-            "--rate" => {
-                args.rate_hz = next("--rate").parse().unwrap_or_else(|_| {
-                    eprintln!("--rate must be a number (events/s, 0 = full speed)");
-                    usage()
-                })
-            }
-            "--json" => args.json_out = Some(next("--json")),
-            "--record" => args.record = Some(next("--record").into()),
-            "--matcher" => args.matcher = next("--matcher"),
-            "--seed" => {
-                args.seed = next("--seed").parse().unwrap_or_else(|_| {
-                    eprintln!("--seed must be an integer");
-                    usage()
-                })
-            }
-            "--profile" => args.profile = next("--profile"),
-            "--config" => args.config = Some(next("--config")),
-            "--quick" => args.quick = true,
-            "--help" | "-h" => usage(),
-            other if other.starts_with('-') => {
-                eprintln!("unknown flag {other}");
-                usage()
-            }
+            "--rate" => args.rate_hz = cli.parse(&arg),
+            "--json" => args.json_out = Some(cli.value(&arg)),
+            "--record" => args.record = Some(cli.value(&arg).into()),
+            "--matcher" => args.matcher = cli.value(&arg),
+            "--seed" => args.seed = cli.parse(&arg),
+            other if other.starts_with('-') => cli.unknown(other),
             trace => args.traces.push(trace.into()),
         }
     }
     if args.record.is_none() && args.traces.is_empty() {
-        eprintln!("nothing to do: give trace files to replay, or --record");
-        usage()
+        cli.fail("nothing to do: give trace files to replay, or --record")
     }
     if args.record.is_some() && !args.traces.is_empty() {
-        eprintln!("--record and trace replay are mutually exclusive");
-        usage()
+        cli.fail("--record and trace replay are mutually exclusive")
     }
     args
 }
 
-fn load_scenario(args: &Args) -> ScenarioConfig {
-    if args.quick {
-        return synthetic(SyntheticParams {
-            n_requests: 400,
-            n_workers: 120,
-            ..SyntheticParams::default()
-        });
-    }
-    if let Some(path) = &args.config {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2)
-        });
-        return serde_json::from_str(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse {path}: {e}");
-            std::process::exit(2)
-        });
-    }
-    match args.profile.as_str() {
-        "chengdu-oct" => chengdu_oct(),
-        "chengdu-nov" => chengdu_nov(),
-        "xian-nov" => xian_nov(),
-        "synthetic" => synthetic(SyntheticParams::default()),
-        other => {
-            eprintln!("unknown profile {other}");
-            usage()
-        }
-    }
-}
-
 fn record(args: &Args, path: &Path) {
-    let scenario = load_scenario(args);
-    let instance = generate(&scenario);
-    let finished = record_session(path, &instance, &args.matcher, args.seed).unwrap_or_else(|e| {
-        eprintln!("matchreplay: recording failed: {e}");
-        std::process::exit(1)
-    });
+    let instance = generate(&args.scenario.load());
+    let finished = record_session(path, &instance, &args.matcher, args.seed)
+        .unwrap_or_else(|e| exit_with(1, format!("matchreplay: recording failed: {e}")));
     println!(
         "recorded {}: {} events -> {} ({} findings)",
         path.display(),
@@ -266,10 +199,7 @@ fn main() {
             path,
             serde_json::to_string_pretty(&json).expect("serialise report"),
         )
-        .unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1)
-        });
+        .unwrap_or_else(|e| exit_with(1, format!("cannot write {path}: {e}")));
         println!("report written to {path}");
     }
 
